@@ -1,4 +1,4 @@
-"""Benchmark the compiled scan kernel against the pure-Python twin.
+"""Benchmark the compiled scan kernel against the pure-Python kernel.
 
 Each workload counts one dilated triangle with both kernels, checks the
 reports are identical, and times the best of several repeats.  Run as

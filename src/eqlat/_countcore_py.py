@@ -1,4 +1,4 @@
-"""Pure-Python scan kernel, arbitrary precision.
+"""Pure-Python row-interval scan kernel, arbitrary precision.
 
 Counts lattice points of the box {(o, i)} classified against the triangle
 with barycentric numerators
@@ -6,10 +6,17 @@ with barycentric numerators
     lam(o, i) = o*a_o + i*a_i,   mu(o, i) = o*b_o + i*b_i,
 
 a point being inside iff lam >= 0, mu >= 0, lam + mu <= bound.  Rows run over
-the outer index; within a row the feasible inner range is an interval, which
-is derived exactly, padded by one on each side, and every candidate in it is
-still checked against the full predicate.  The result therefore equals a
-scan of the entire box.
+the outer index.  Within a row each of the three constraints is linear in i,
+so the feasible points form an exact interval [lo, hi], and the row adds
+hi - lo + 1 to the total without visiting its points.  Each of lam, mu and
+lam + mu - bound vanishes at no more than one i unless it is zero along the
+whole row, so only those at most three indices are classified as edge
+points.  A row lying wholly on an edge line is classified point by point.
+The cost is O(rows) plus the length of such edge rows, and the result
+equals a classification of every cell of the box.
+
+The compiled kernel in _countcore.pyx returns identical results by testing
+every point of each row's interval in int64 arithmetic.
 """
 
 from __future__ import annotations
@@ -57,14 +64,25 @@ def scan_box(
             lo = max(lo, _ceildiv(-rest, -c_s))
         elif rest < 0:
             continue
-        lo = max(lo - 1, i_lo)
-        hi = min(hi + 1, i_hi)
-        for i in range(lo, hi + 1):
+        if lo > hi:
+            continue
+        total += hi - lo + 1
+        if (a_i == 0 and ka == 0) or (b_i == 0 and kb == 0) or (c_s == 0 and rest == 0):
+            candidates = range(lo, hi + 1)
+        else:
+            # the zero of each constraint along the row, where it is integral
+            candidates = set()
+            if a_i and ka % a_i == 0:
+                candidates.add(-ka // a_i)
+            if b_i and kb % b_i == 0:
+                candidates.add(-kb // b_i)
+            if c_s and rest % c_s == 0:
+                candidates.add(rest // c_s)
+        for i in candidates:
+            if i < lo or i > hi:
+                continue
             lam = ka + i * a_i
             mu = kb + i * b_i
-            if lam < 0 or mu < 0 or lam + mu > bound:
-                continue
-            total += 1
             edges = (lam == 0) + (mu == 0) + (lam + mu == bound)
             if edges >= 2:
                 verts += 1

@@ -340,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         results, failures, human = _HANDLERS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         results, failures, human = {}, [str(exc)], []
         print(f"error: {exc}", file=sys.stderr)
     doc = {

@@ -169,15 +169,20 @@ def build_frame(t: Triple, roles: Roles = IDENTITY_ROLES, rs: tuple[int, int] | 
     perp = _permute_back(entries[1], roles)
     e2 = Vec3((e1.x + perp.x) // 2, (e1.y + perp.y) // 2, (e1.z + perp.z) // 2)
     d = t.d
-    assert e1.norm_sq() == 2 * d * d and perp.norm_sq() == 6 * d * d
-    assert e1.dot(perp) == 0
-    assert membership(e1, t) and membership(e2, t)
+    if not (e1.norm_sq() == 2 * d * d and perp.norm_sq() == 6 * d * d):
+        raise RuntimeError(f"frame for {t.abc()}: wrong norms of e1 or perp")
+    if e1.dot(perp) != 0:
+        raise RuntimeError(f"frame for {t.abc()}: e1 not orthogonal to perp")
+    if not (membership(e1, t) and membership(e2, t)):
+        raise RuntimeError(f"frame for {t.abc()}: e1 or e2 off the plane")
     omega = gcd_nonneg(av, bv)
     # r and s are forced to be multiples of omega with quotients of equal
     # parity; d*u having integer frame coordinates guarantees it
-    assert r % omega == 0 and s % omega == 0
+    if r % omega != 0 or s % omega != 0:
+        raise RuntimeError(f"frame for {t.abc()}: (r, s) not multiples of omega = {omega}")
     r_red, s_red = r // omega, s // omega
-    assert (r_red - s_red) % 2 == 0
+    if (r_red - s_red) % 2 != 0:
+        raise RuntimeError(f"frame for {t.abc()}: r_red and s_red of unequal parity")
     return Frame(
         triple=t,
         roles=roles,
@@ -243,8 +248,10 @@ def solve_alpha_beta(f: Frame, basis: BasisPair) -> AlphaBeta:
     d = f.triple.d
     p, h = sublattice_coords(f, basis.u)
     r_red, s_red = -h, 2 * p + h
-    if f.roles == IDENTITY_ROLES:
-        assert (r_red, s_red) == (f.r_red, f.s_red)
+    if f.roles == IDENTITY_ROLES and (r_red, s_red) != (f.r_red, f.s_red):
+        raise RuntimeError(
+            f"basis gives (r_red, s_red) = {(r_red, s_red)}, frame has {(f.r_red, f.s_red)}"
+        )
     alpha, beta = sublattice_coords(f, basis.tau)
     dio = p * beta - h * alpha
     if dio == d:

@@ -92,7 +92,8 @@ def generators(t: Triple) -> GeneratorSet:
     if k == 0:
         k = step
     l = (omega - k * a) // b
-    assert k * a + l * b == omega
+    if k * a + l * b != omega:
+        raise RuntimeError(f"Bezout certificate {k}*{a} + {l}*{b} != {omega}")
     return GeneratorSet(u=u, v=v, w=w, omega=omega, bezout_k=k, bezout_l=l)
 
 

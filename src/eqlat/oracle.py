@@ -13,9 +13,12 @@ X lies in the dilation iff lam_num >= 0, mu_num >= 0 and
 lam_num + mu_num <= t*D; side OP carries mu_num = 0, side OQ lam_num = 0 and
 side PQ lam_num + mu_num = t*D.  Everything is integer arithmetic.
 
-Two interchangeable kernels do the scan: a compiled extension working in
-int64 (used when a conservative bound proves no intermediate can overflow)
-and a pure-Python twin with arbitrary precision.
+Two kernels with identical results do the scan.  The pure-Python kernel
+works in arbitrary precision and counts each row of the box from its exact
+feasible interval, touching only the at most three edge points per row, so
+its cost grows with the number of rows rather than of points.  The compiled
+extension works in int64 (used when a conservative bound proves no
+intermediate can overflow) and tests every point of each row's interval.
 """
 
 from __future__ import annotations
@@ -90,7 +93,8 @@ def count(
     if not (g11 == g22 == (p - q).norm_sq()):
         raise ValueError("not an equilateral lattice triangle: unequal sides")
     det = g11 * g22 - g12 * g12
-    assert det > 0
+    if det <= 0:
+        raise RuntimeError(f"Gram determinant {det} of an equilateral triangle is not positive")
     bound = dilation * det
 
     if basis is None:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from eqlat import cli
 from eqlat.cli import _parse_mn_list, main
 
 
@@ -178,6 +179,18 @@ def test_degenerate_mn_exit_1(capsys):
 def test_bad_mn_list_exit_1(capsys):
     code, _, err = run_cli(capsys, "verify", "3", "nonsense", "1")
     assert code == 1 and "cannot parse" in err
+
+
+def test_internal_error_gives_machine_document(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("frame/basis mismatch")
+
+    monkeypatch.setitem(cli._HANDLERS, "count", broken)
+    code, doc, err = run_machine(capsys, "count", "5", "7", "13", "1", "0", "1")
+    assert code == 1
+    assert doc["command"] == "count" and doc["results"] == {}
+    assert doc["failures"] == ["frame/basis mismatch"]
+    assert "error: frame/basis mismatch" in err
 
 
 def test_usage_errors_exit_2(capsys):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eqlat import lattice
 from eqlat.intmath import Vec3
 from eqlat.lattice import (
     Triple,
@@ -59,6 +60,19 @@ def test_generators_shared_factor():
     assert g.u == Vec3(-13, 5, 0)
     t2 = Triple.from_abc(11, 11, 25)  # omega = 11
     assert generators(t2).u == Vec3(-1, 1, 0)
+
+
+def test_generators_rejects_wrong_bezout(monkeypatch):
+    # the check must hold under python -O, so it may not be an assert
+    real = lattice.extended_gcd
+
+    def off_by_one(a, b):
+        g, x, y = real(a, b)
+        return g, x + 1, y
+
+    monkeypatch.setattr(lattice, "extended_gcd", off_by_one)
+    with pytest.raises(RuntimeError, match="Bezout"):
+        generators(Triple(5, 7, 13, 9))
 
 
 def test_basis_d15():

@@ -51,6 +51,22 @@ def test_row_scan_equals_naive(o_lo, o_span, i_lo, i_span, a_o, a_i, b_o, b_i, b
     assert _countcore_py.scan_box(*args) == naive_scan(*args)
 
 
+# Rows lying wholly on one edge line, the only rows the interval scan
+# classifies point by point; per_side index of that edge's points.
+edge_rows = [
+    pytest.param((-2, 13, -4, 8, 1, 0, -1, 2, 12), 2, id="lam-row-a_i-0"),
+    pytest.param((-2, 13, -4, 8, -1, 2, 1, 0, 12), 0, id="mu-row-b_i-0"),
+    pytest.param((-2, 8, -8, 8, 1, 1, 1, -1, 12), 1, id="pq-row-c_s-0"),
+]
+
+
+@pytest.mark.parametrize("args,side", edge_rows)
+def test_row_scan_edge_rows(args, side):
+    expected = naive_scan(*args)
+    assert expected[4] == 3 and expected[1 + side] > 1
+    assert _countcore_py.scan_box(*args) == expected
+
+
 @pytest.mark.skipif(not has_compiled(), reason="compiled kernel not built")
 @settings(max_examples=300)
 @given(edge, edge, edge, edge, small, small, small, small, st.integers(min_value=-20, max_value=120))
@@ -116,6 +132,16 @@ def test_formula_matches_oracle_small_grid():
                 assert rep.total == poly.evaluate(dil)
                 assert rep.boundary == poly.lin_num * dil
                 assert pick_check(rep, poly.quad_num, dil)
+
+
+def test_large_dilation():
+    t = Triple(1, 1, 1, 1)
+    f, _ = frame_system(t)
+    p, q = triangle_vertices(f, 1, 0)
+    dil = 10**4
+    rep = count(p, q, t, dil, kernel="py")
+    assert rep.total == ehrhart_poly(t).evaluate(dil)
+    assert rep.per_side == (dil - 1, dil - 1, dil - 1)
 
 
 def test_inflate_stability():
