@@ -8,7 +8,6 @@ from .ehrhart import (
     c1_aeqb,
     c1_general,
     ehrhart_poly,
-    evaluate,
     frame_system,
     side_divisors,
 )
@@ -24,7 +23,7 @@ from .frame import (
     solve_alpha_beta,
     triangle_vertices,
 )
-from .intmath import Vec3, extended_gcd, gcd_nonneg, sqrt_exact
+from .intmath import Vec3, extended_gcd, sqrt_exact
 from .lattice import (
     BasisPair,
     GeneratorSet,
@@ -63,11 +62,9 @@ __all__ = [
     "ehrhart_poly",
     "enumerate_triples",
     "equal_pair_frame",
-    "evaluate",
     "extended_gcd",
     "find_rs",
     "frame_system",
-    "gcd_nonneg",
     "generators",
     "has_compiled",
     "kernel_name",

@@ -8,23 +8,22 @@ with barycentric numerators
 a point being inside iff lam >= 0, mu >= 0, lam + mu <= bound.  Rows run over
 the outer index.  Within a row each of the three constraints is linear in i,
 so the feasible points form an exact interval [lo, hi], and the row adds
-hi - lo + 1 to the total without visiting its points.  Each of lam, mu and
-lam + mu - bound vanishes at no more than one i unless it is zero along the
-whole row, so only those at most three indices are classified as edge
-points.  A row lying wholly on an edge line is classified point by point.
-The cost is O(rows) plus the length of such edge rows, and the result
-equals a classification of every cell of the box.
+hi - lo + 1 to the total without visiting its points.
+
+Edge points are the zeros of lam, mu and lam + mu - bound.  Unless it is
+zero along the whole row, each vanishes at no more than one i, and only where
+the row's offset is divisible by its slope (ka % a_i == 0, kb % b_i == 0,
+rest % c_s == 0).  Most rows have no such integral zero and do no edge work
+at all; the others classify at most three indices, a vertex being counted at
+the first of the zeros that meet there.  A row lying wholly on an edge line
+is classified point by point.  The cost is O(rows) plus the length of such
+edge rows, and the result equals a classification of every cell of the box.
 
 The compiled kernel in _countcore.pyx returns identical results by testing
 every point of each row's interval in int64 arithmetic.
 """
 
 from __future__ import annotations
-
-
-def _ceildiv(a: int, b: int) -> int:
-    # b > 0 everywhere below
-    return -((-a) // b)
 
 
 def scan_box(
@@ -44,53 +43,82 @@ def scan_box(
     for o in range(o_lo, o_hi + 1):
         ka = o * a_o
         kb = o * b_o
-        lo, hi = i_lo, i_hi
+        rest = bound - ka - kb
+        # -(x // y) is the ceiling of -x / y for y > 0
+        lo = i_lo
+        hi = i_hi
         if a_i > 0:
-            lo = max(lo, _ceildiv(-ka, a_i))
+            x = -(ka // a_i)
+            if x > lo:
+                lo = x
         elif a_i < 0:
-            hi = min(hi, ka // (-a_i))
+            x = ka // -a_i
+            if x < hi:
+                hi = x
         elif ka < 0:
             continue
         if b_i > 0:
-            lo = max(lo, _ceildiv(-kb, b_i))
+            x = -(kb // b_i)
+            if x > lo:
+                lo = x
         elif b_i < 0:
-            hi = min(hi, kb // (-b_i))
+            x = kb // -b_i
+            if x < hi:
+                hi = x
         elif kb < 0:
             continue
-        rest = bound - ka - kb
         if c_s > 0:
-            hi = min(hi, rest // c_s)
+            x = rest // c_s
+            if x < hi:
+                hi = x
         elif c_s < 0:
-            lo = max(lo, _ceildiv(-rest, -c_s))
+            x = -(rest // -c_s)
+            if x > lo:
+                lo = x
         elif rest < 0:
             continue
         if lo > hi:
             continue
         total += hi - lo + 1
         if (a_i == 0 and ka == 0) or (b_i == 0 and kb == 0) or (c_s == 0 and rest == 0):
-            candidates = range(lo, hi + 1)
-        else:
-            # the zero of each constraint along the row, where it is integral
-            candidates = set()
-            if a_i and ka % a_i == 0:
-                candidates.add(-ka // a_i)
-            if b_i and kb % b_i == 0:
-                candidates.add(-kb // b_i)
-            if c_s and rest % c_s == 0:
-                candidates.add(rest // c_s)
-        for i in candidates:
-            if i < lo or i > hi:
-                continue
-            lam = ka + i * a_i
-            mu = kb + i * b_i
-            edges = (lam == 0) + (mu == 0) + (lam + mu == bound)
-            if edges >= 2:
-                verts += 1
-            elif edges == 1:
-                if mu == 0:
-                    on_op += 1
-                elif lam == 0:
-                    on_oq += 1
+            for i in range(lo, hi + 1):
+                lam = ka + i * a_i
+                mu = kb + i * b_i
+                edges = (lam == 0) + (mu == 0) + (lam + mu == bound)
+                if edges >= 2:
+                    verts += 1
+                elif edges == 1:
+                    if mu == 0:
+                        on_op += 1
+                    elif lam == 0:
+                        on_oq += 1
+                    else:
+                        on_pq += 1
+            continue
+        # lam = 0 on side OQ; a vertex there also has mu = 0 or mu = bound
+        if a_i and ka % a_i == 0:
+            i = -ka // a_i
+            if lo <= i <= hi:
+                mu = kb + i * b_i
+                if mu == 0 or mu == bound:
+                    verts += 1
                 else:
+                    on_oq += 1
+        # mu = 0 on side OP; lam = 0 there is the vertex counted above
+        if b_i and kb % b_i == 0:
+            i = -kb // b_i
+            if lo <= i <= hi:
+                lam = ka + i * a_i
+                if lam:
+                    if lam == bound:
+                        verts += 1
+                    else:
+                        on_op += 1
+        # lam + mu = bound on side PQ; lam = 0 or mu = 0 there was counted above
+        if c_s and rest % c_s == 0:
+            i = rest // c_s
+            if lo <= i <= hi:
+                lam = ka + i * a_i
+                if lam and lam != bound:
                     on_pq += 1
     return total, on_op, on_pq, on_oq, verts

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -13,9 +14,8 @@ from .ehrhart import (
     side_divisors,
 )
 from .frame import Triple, enumerate_triples, triangle_vertices
-from .intmath import gcd_nonneg
 from .lattice import plane_basis
-from .oracle import count, pick_check
+from .oracle import Triangle, pick_check
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,14 +85,14 @@ def verify_triple(
     basis = plane_basis(t)
     records = []
     for m, n in mn_list:
-        g = gcd_nonneg(m, n)
+        g = math.gcd(m, n)
         mr, nr = m // g, n // g
         poly = ehrhart_from_frame(f, ab, m, n)
         nus = side_divisors(f, ab, mr, nr)
-        p_vert, q_vert = triangle_vertices(f, m, n)
+        tri = Triangle(*triangle_vertices(f, m, n), t, basis)
         for dil in range(1, t_max + 1):
             start = time.perf_counter()
-            rep = count(p_vert, q_vert, t, dil, basis=basis, kernel=kernel)
+            rep = tri.count(dil, kernel)
             elapsed = time.perf_counter() - start
             # the (m, n) triangle at dilation dil is the reduced (mr, nr)
             # triangle at dilation g*dil

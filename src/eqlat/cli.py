@@ -9,12 +9,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import re
 import sys
 
 from . import catalog, ehrhart, frame, oracle
-from .intmath import gcd_nonneg
 from .lattice import Triple, generators, plane_basis
+
+
+class _Rendered(list):
+    """Items already in machine form, which _stringify passes through unchanged."""
 
 
 def _stringify(value):
@@ -22,6 +27,8 @@ def _stringify(value):
         return value
     if isinstance(value, int):
         return str(value)
+    if isinstance(value, _Rendered):
+        return value
     if isinstance(value, (list, tuple)):
         return [_stringify(v) for v in value]
     if isinstance(value, dict):
@@ -182,7 +189,7 @@ def cmd_count(args) -> tuple[dict, list, list[str]]:
     p_vert, q_vert = frame.triangle_vertices(f, args.m, args.n)
     poly = ehrhart.ehrhart_from_frame(f, ab, args.m, args.n)
     rep = oracle.count(p_vert, q_vert, t, args.t, basis=basis)
-    g = gcd_nonneg(args.m, args.n)
+    g = math.gcd(args.m, args.n)
     nus = ehrhart.side_divisors(f, ab, args.m // g, args.n // g)
     eff = g * args.t
     formula = poly.evaluate(args.t)
@@ -278,26 +285,28 @@ def cmd_ed(args) -> tuple[dict, list, list[str]]:
 
 def cmd_verify(args) -> tuple[dict, list, list[str]]:
     mn_list = _parse_mn_list(args.mn_list)
-    records = catalog.verify_campaign(
-        args.d_max, mn_list, args.t_max, workers=max(1, args.parallel)
-    )
+    # more workers than processors only add start-up and contention
+    workers = max(1, min(args.parallel, os.cpu_count() or 1))
+    records = catalog.verify_campaign(args.d_max, mn_list, args.t_max, workers=workers)
     passed, failed = catalog.campaign_summary(records)
 
     def rec_dict(r):
+        # integers as decimal strings already: a campaign has thousands of
+        # records, and _stringify would walk every one of them again
         return {
-            "triple": list(r.triple),
-            "d": r.d,
-            "m": r.m,
-            "n": r.n,
-            "t": r.t,
-            "quad_num": r.quad_num,
-            "lin_num": r.lin_num,
-            "formula_count": r.formula_count,
-            "oracle_count": r.oracle_count,
-            "boundary_expected": r.boundary_expected,
-            "boundary_actual": r.boundary_actual,
-            "per_side_expected": list(r.per_side_expected),
-            "per_side_actual": list(r.per_side_actual),
+            "triple": [str(x) for x in r.triple],
+            "d": str(r.d),
+            "m": str(r.m),
+            "n": str(r.n),
+            "t": str(r.t),
+            "quad_num": str(r.quad_num),
+            "lin_num": str(r.lin_num),
+            "formula_count": str(r.formula_count),
+            "oracle_count": str(r.oracle_count),
+            "boundary_expected": str(r.boundary_expected),
+            "boundary_actual": str(r.boundary_actual),
+            "per_side_expected": [str(x) for x in r.per_side_expected],
+            "per_side_actual": [str(x) for x in r.per_side_actual],
             "pick_ok": r.pick_ok,
             "passed": r.passed,
         }
@@ -306,7 +315,7 @@ def cmd_verify(args) -> tuple[dict, list, list[str]]:
         "d_max": args.d_max,
         "mn_list": [list(p) for p in mn_list],
         "t_max": args.t_max,
-        "records": [rec_dict(r) for r in records],
+        "records": _Rendered(rec_dict(r) for r in records),
         "passed": passed,
         "failed": failed,
     }

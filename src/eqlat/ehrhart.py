@@ -11,10 +11,10 @@ from the frame coordinates (r_red, s_red, alpha, beta) of the plane basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .frame import AlphaBeta, Frame, build_frame, solve_alpha_beta
-from .intmath import gcd_nonneg
 from .lattice import Triple, plane_basis
 
 
@@ -51,10 +51,6 @@ class SideDecomposition:
         return (self.nu_op * t - 1, self.nu_pq * t - 1, self.nu_oq * t - 1)
 
 
-def evaluate(p: EhrhartPoly, t: int) -> int:
-    return p.evaluate(t)
-
-
 def c0_doubled(d: int, m: int, n: int) -> int:
     """Twice the quadratic coefficient: d*(m^2 - m*n + n^2)."""
     if m == 0 and n == 0:
@@ -64,16 +60,16 @@ def c0_doubled(d: int, m: int, n: int) -> int:
 
 def side_divisors(f: Frame, ab: AlphaBeta, m: int, n: int) -> SideDecomposition:
     """One gcd per side of the (m, n) triangle, for coprime (m, n)."""
-    if gcd_nonneg(m, n) != 1:
+    if math.gcd(m, n) != 1:
         raise ValueError("reduce dilation first: (m, n) must be coprime")
     if ab.d != f.triple.d:
         raise ValueError("frame and basis data disagree")
     hs = (ab.r_red + ab.s_red) // 2
     hd = (ab.r_red - ab.s_red) // 2
     alpha, beta = ab.alpha, ab.beta
-    nu_op = gcd_nonneg(m * ab.r_red - n * hs, m * beta + n * alpha)
-    nu_pq = gcd_nonneg(-m * hd + n * ab.r_red, m * (alpha + beta) - n * beta)
-    nu_oq = gcd_nonneg(m * hs + n * hd, m * alpha - n * (alpha + beta))
+    nu_op = math.gcd(m * ab.r_red - n * hs, m * beta + n * alpha)
+    nu_pq = math.gcd(-m * hd + n * ab.r_red, m * (alpha + beta) - n * beta)
+    nu_oq = math.gcd(m * hs + n * hd, m * alpha - n * (alpha + beta))
     return SideDecomposition(nu_op=nu_op, nu_pq=nu_pq, nu_oq=nu_oq)
 
 
@@ -87,9 +83,9 @@ def c1_minimal(ab: AlphaBeta) -> int:
     hs = (ab.r_red + ab.s_red) // 2
     hd = (ab.r_red - ab.s_red) // 2
     return (
-        gcd_nonneg(ab.r_red, ab.beta)
-        + gcd_nonneg(hs, ab.alpha)
-        + gcd_nonneg(hd, ab.alpha + ab.beta)
+        math.gcd(ab.r_red, ab.beta)
+        + math.gcd(hs, ab.alpha)
+        + math.gcd(hd, ab.alpha + ab.beta)
     )
 
 
@@ -97,7 +93,7 @@ def c1_aeqb(d: int, m: int, n: int) -> int:
     """Boundary count shortcut for triples with an equal coordinate pair."""
     if m == 0 and n == 0:
         raise ValueError("degenerate triangle: (m, n) = (0, 0)")
-    return gcd_nonneg(m, d) + gcd_nonneg(n, d) + gcd_nonneg(m - n, d)
+    return math.gcd(m, d) + math.gcd(n, d) + math.gcd(m - n, d)
 
 
 def frame_system(t: Triple) -> tuple[Frame, AlphaBeta]:
@@ -111,7 +107,7 @@ def ehrhart_from_frame(f: Frame, ab: AlphaBeta, m: int, n: int) -> EhrhartPoly:
     """Polynomial of the (m, n) triangle given precomputed frame data."""
     if m == 0 and n == 0:
         raise ValueError("degenerate triangle: (m, n) = (0, 0)")
-    g = gcd_nonneg(m, n)
+    g = math.gcd(m, n)
     mr, nr = m // g, n // g
     d = f.triple.d
     c1 = c1_general(f, ab, mr, nr)

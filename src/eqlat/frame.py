@@ -29,9 +29,10 @@ differently (all choices yield the same counts downstream).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .intmath import Vec3, gcd_nonneg, sqrt_exact
+from .intmath import Vec3, sqrt_exact
 from .lattice import BasisPair, Triple, membership, solve_in_plane
 
 Roles = tuple[int, int, int]
@@ -92,7 +93,7 @@ def enumerate_triples(d: int) -> list[Triple]:
         b = a
         while a * a + 2 * b * b <= target:
             c = sqrt_exact(target - a * a - b * b)
-            if c is not None and c >= b and gcd_nonneg(gcd_nonneg(a, b), c) == 1:
+            if c is not None and c >= b and math.gcd(a, b, c) == 1:
                 out.append(Triple(a, b, c, d))
             b += 1
         a += 1
@@ -175,7 +176,7 @@ def build_frame(t: Triple, roles: Roles = IDENTITY_ROLES, rs: tuple[int, int] | 
         raise RuntimeError(f"frame for {t.abc()}: e1 not orthogonal to perp")
     if not (membership(e1, t) and membership(e2, t)):
         raise RuntimeError(f"frame for {t.abc()}: e1 or e2 off the plane")
-    omega = gcd_nonneg(av, bv)
+    omega = math.gcd(av, bv)
     # r and s are forced to be multiples of omega with quotients of equal
     # parity; d*u having integer frame coordinates guarantees it
     if r % omega != 0 or s % omega != 0:
@@ -288,7 +289,7 @@ def aeqb_generate(k: int, l: int) -> list[Triple]:
         raise ValueError("not a valid generator pair: k must be a positive odd integer")
     if l < 1:
         raise ValueError("not a valid generator pair: l must be a positive integer")
-    if gcd_nonneg(k, l) != 1:
+    if math.gcd(k, l) != 1:
         raise ValueError("not a valid generator pair: k and l must be coprime")
     d = 2 * l * l + k * k
     branches = []
@@ -298,7 +299,7 @@ def aeqb_generate(k: int, l: int) -> list[Triple]:
         branches.append((abs(2 * l * l - 2 * k * l - k * k), abs(k * k - 4 * k * l - 2 * l * l)))
     out: list[Triple] = []
     for a, c in branches:
-        g = gcd_nonneg(a, c)
+        g = math.gcd(a, c)
         t = Triple.from_abc(a // g, a // g, c // g)
         if t.d != d:
             raise RuntimeError(f"branch output {t.abc()} has d = {t.d}, expected {d}")
@@ -315,7 +316,7 @@ def rs_structure(f: Frame) -> dict:
     legitimately land on other representations, so this reports rather than
     enforces.
     """
-    g = gcd_nonneg(f.triple.d, f.q)
+    g = math.gcd(f.triple.d, f.q)
     chi = 1
     rem = g
     p = 2
@@ -329,7 +330,7 @@ def rs_structure(f: Frame) -> dict:
         chi *= rem
     unit = f.omega * chi
     divides = f.r % unit == 0 and f.s % unit == 0
-    cofactors_coprime = gcd_nonneg(f.r // unit, f.s // unit) == 1 if divides else False
+    cofactors_coprime = math.gcd(f.r // unit, f.s // unit) == 1 if divides else False
     return {
         "omega": f.omega,
         "chi": chi,

@@ -1,4 +1,4 @@
-"""Exact integer arithmetic helpers: gcd variants, square roots, 3-vectors.
+"""Exact integer arithmetic helpers: extended gcd, square roots, 3-vectors.
 
 Everything here works on arbitrary-precision Python integers; nothing ever
 goes through floats.
@@ -8,11 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-
-def gcd_nonneg(x: int, y: int) -> int:
-    """Nonnegative gcd with gcd(0, n) = |n| and gcd(0, 0) = 0."""
-    return math.gcd(x, y)
 
 
 def extended_gcd(x: int, y: int) -> tuple[int, int, int]:

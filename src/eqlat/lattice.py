@@ -8,9 +8,10 @@ exact coordinates of lattice points in that basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .intmath import Vec3, extended_gcd, gcd_nonneg, sqrt_exact
+from .intmath import Vec3, extended_gcd, sqrt_exact
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,7 +29,7 @@ class Triple:
     def __post_init__(self) -> None:
         if not (0 < self.a <= self.b <= self.c):
             raise ValueError(f"triple {self.abc()} not in canonical order 0 < a <= b <= c")
-        if gcd_nonneg(gcd_nonneg(self.a, self.b), self.c) != 1:
+        if math.gcd(self.a, self.b, self.c) != 1:
             raise ValueError(f"triple {self.abc()} is not primitive")
         if self.a**2 + self.b**2 + self.c**2 != 3 * self.d**2:
             raise ValueError(f"triple {self.abc()} does not satisfy a^2+b^2+c^2 = 3*{self.d}^2")
@@ -79,11 +80,11 @@ class BasisPair:
 def generators(t: Triple) -> GeneratorSet:
     """Standard generators of the lattice of integer points on the plane."""
     a, b, c = t.a, t.b, t.c
-    omega = gcd_nonneg(a, b)
+    omega = math.gcd(a, b)
     u = Vec3(-b // omega, a // omega, 0)
-    gac = gcd_nonneg(a, c)
+    gac = math.gcd(a, c)
     v = Vec3(-c // gac, 0, a // gac)
-    gbc = gcd_nonneg(b, c)
+    gbc = math.gcd(b, c)
     w = Vec3(0, -c // gbc, b // gbc)
     _, k0, _ = extended_gcd(a, b)
     # all Bezout k differ by multiples of b/omega; pick the least positive one
@@ -104,8 +105,8 @@ def tau_vector(t: Triple, gens: GeneratorSet | None = None) -> Vec3:
     """
     if gens is None:
         gens = generators(t)
-    gac = gcd_nonneg(t.a, t.c)
-    gbc = gcd_nonneg(t.b, t.c)
+    gac = math.gcd(t.a, t.c)
+    gbc = math.gcd(t.b, t.c)
     return gens.v * (gac * gens.bezout_k) + gens.w * (gbc * gens.bezout_l)
 
 

@@ -10,6 +10,7 @@ formula variant is in use.
 """
 
 import json
+import math
 import pathlib
 
 import pytest
@@ -33,7 +34,7 @@ from eqlat.frame import (
     solve_alpha_beta,
     triangle_vertices,
 )
-from eqlat.intmath import Vec3, gcd_nonneg
+from eqlat.intmath import Vec3
 from eqlat.lattice import Triple, plane_basis
 from eqlat.oracle import count
 
@@ -143,7 +144,7 @@ def test_criterion_4_d15_frame():
 def test_criterion_5_equal_pair_family():
     for k in (1, 3, 5, 7, 9):
         for l in range(1, 10):
-            if gcd_nonneg(k, l) != 1:
+            if math.gcd(k, l) != 1:
                 continue
             triples = aeqb_generate(k, l)
             assert 1 <= len(triples) <= 2
@@ -152,7 +153,7 @@ def test_criterion_5_equal_pair_family():
                 eq, other = (t.a, t.c) if t.a == t.b else (t.b, t.a)
                 assert t.a == t.b or t.b == t.c
                 assert 2 * eq * eq + other * other == 3 * t.d**2
-                assert gcd_nonneg(eq, other) == 1
+                assert math.gcd(eq, other) == 1
                 assert t.d == 2 * l * l + k * k
     # radius 2011 collision: two distinct planes, identical polynomial
     triples = aeqb_generate(43, 9)
@@ -193,9 +194,9 @@ def test_criterion_6_property_suites():
         nus = side_divisors(f, ab, 1, 0)
         trio = (nus.nu_op, nus.nu_pq, nus.nu_oq)
         assert all(t.d % nu == 0 for nu in trio)
-        assert gcd_nonneg(trio[0], trio[1]) == 1
-        assert gcd_nonneg(trio[0], trio[2]) == 1
-        assert gcd_nonneg(trio[1], trio[2]) == 1
+        assert math.gcd(trio[0], trio[1]) == 1
+        assert math.gcd(trio[0], trio[2]) == 1
+        assert math.gcd(trio[1], trio[2]) == 1
 
     # role-pair choice: any coordinate pair may fill the closed form's slots;
     # downstream polynomials agree (and the conjugate pair at norm 7 agrees

@@ -1,12 +1,17 @@
 import json
+import os
+import pathlib
 import shutil
 import subprocess
 import sys
 
 import pytest
 
-from eqlat import cli
+from eqlat import catalog, cli
 from eqlat.cli import _parse_mn_list, main
+from eqlat.oracle import kernel_name
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -149,6 +154,42 @@ def test_verify_parallel_same_output(capsys):
     _, doc2, _ = run_machine(capsys, "verify", "7", "(1,0),(2,1)", "2", "--parallel", "2")
     del doc1["inputs"]["parallel"], doc2["inputs"]["parallel"]
     assert doc1 == doc2
+
+
+def test_parallel_capped_at_cpu_count(capsys, monkeypatch):
+    argv = ("verify", "7", "(1,0),(2,1)", "2")
+    _, serial, _ = run_machine(capsys, *argv)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(catalog, "Pool", no_pool)
+    code, capped, _ = run_machine(capsys, *argv, "--parallel", "2")
+    assert code == 0
+    assert capped["inputs"]["parallel"] == "2"
+    assert capped["results"] == serial["results"] and capped["failures"] == []
+
+
+# Machine documents that must stay byte-identical; the count one scans a
+# badly skewed basis with many edge rows.
+golden_documents = [
+    pytest.param(("verify", "9", "(1,0),(2,1),(3,1)", "2"), "verify_golden.json", id="verify"),
+    pytest.param(
+        ("count", "139", "2461", "2461", "2", "1", "3", "--inflate-check"),
+        "count_skewed_golden.json",
+        id="count-skewed",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,name", golden_documents)
+def test_machine_document_golden(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv, "--format", "machine")
+    expected = (DATA / name).read_text()
+    expected = expected.replace('"kernel": "pure"', f'"kernel": "{kernel_name()}"')
+    assert code == 0 and err == ""
+    assert out == expected
 
 
 def test_machine_output_is_deterministic(capsys):

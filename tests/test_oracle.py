@@ -4,10 +4,10 @@ from hypothesis import strategies as st
 
 from eqlat import _countcore_py
 from eqlat.ehrhart import ehrhart_poly, frame_system, side_divisors
-from eqlat.frame import triangle_vertices
+from eqlat.frame import enumerate_triples, triangle_vertices
 from eqlat.intmath import Vec3
 from eqlat.lattice import Triple
-from eqlat.oracle import CountReport, count, has_compiled, kernel_name, pick_check
+from eqlat.oracle import CountReport, Triangle, count, has_compiled, kernel_name, pick_check
 
 try:
     from eqlat import _countcore
@@ -39,11 +39,14 @@ def naive_scan(o_lo, o_hi, i_lo, i_hi, a_o, a_i, b_o, b_i, bound):
 
 
 small = st.integers(min_value=-9, max_value=9)
+coeff = st.integers(min_value=-40, max_value=40)
 edge = st.integers(min_value=-8, max_value=8)
 
 
-@settings(max_examples=300)
-@given(edge, edge, edge, edge, small, small, small, small, st.integers(min_value=-20, max_value=120))
+# coefficients up to 40 leave most rows without an integral zero, so rows
+# with and without edge work both occur often
+@settings(max_examples=1000)
+@given(edge, edge, edge, edge, coeff, coeff, coeff, coeff, st.integers(min_value=-20, max_value=120))
 def test_row_scan_equals_naive(o_lo, o_span, i_lo, i_span, a_o, a_i, b_o, b_i, bound):
     o_hi = o_lo + abs(o_span)
     i_hi = i_lo + abs(i_span)
@@ -64,6 +67,26 @@ edge_rows = [
 def test_row_scan_edge_rows(args, side):
     expected = naive_scan(*args)
     assert expected[4] == 3 and expected[1 + side] > 1
+    assert _countcore_py.scan_box(*args) == expected
+
+
+# Triangles O = (0, 0), P = (3, 1), Q = (1, 4) in box coordinates, so
+# (lam, mu) = (4o - i, 3i - o) with bound 11, in several orientations.  Each
+# vertex row has two zeros meeting at one index, and no row lies on an edge.
+vertex_rows = [
+    pytest.param((0, 3, 0, 4, 4, -1, -1, 3, 11), id="vertex-rows"),
+    pytest.param((0, 4, 0, 3, -1, 4, 3, -1, 11), id="vertex-rows-transposed"),
+    pytest.param((0, 3, -4, 0, 4, 1, -1, -3, 11), id="vertex-rows-mirrored"),
+    pytest.param((-2, 8, -2, 10, 4, -1, -1, 3, 22), id="vertex-rows-dilated-inflated"),
+]
+
+
+@pytest.mark.parametrize("args", vertex_rows)
+def test_row_scan_vertex_rows(args):
+    expected = naive_scan(*args)
+    assert expected[4] == 3
+    a_i, b_i = args[5], args[7]
+    assert a_i and b_i and a_i + b_i
     assert _countcore_py.scan_box(*args) == expected
 
 
@@ -163,6 +186,29 @@ def test_kernels_agree_end_to_end():
         assert count(p, q, t, 2, kernel="c") == rep_py
 
 
+small_triples = [t for d in range(1, 42, 2) for t in enumerate_triples(d)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(small_triples),
+    st.integers(min_value=-4, max_value=4),
+    st.integers(min_value=-4, max_value=4),
+)
+def test_triangle_setup_equals_fresh_count(t, m, n):
+    if m == 0 and n == 0:
+        return
+    f, _ = frame_system(t)
+    p, q = triangle_vertices(f, m, n)
+    tri = Triangle(p, q, t)
+    poly = ehrhart_poly(t, m, n)
+    for dil in range(1, 6):
+        for inflate in (0, 2):
+            rep = tri.count(dil, inflate=inflate)
+            assert rep == count(p, q, t, dil, inflate=inflate)
+            assert rep.total == poly.evaluate(dil)
+
+
 def test_count_input_validation():
     t = Triple(1, 1, 1, 1)
     f, _ = frame_system(t)
@@ -183,6 +229,11 @@ def test_count_input_validation():
         count(Vec3(-1, 1, 0), Vec3(1, -1, 0), t, 1)  # collinear
     with pytest.raises(ValueError, match="unknown kernel"):
         count(p, q, t, 1, kernel="fortran")
+    tri = Triangle(p, q, t)
+    with pytest.raises(ValueError, match="positive"):
+        tri.count(0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        tri.count(1, inflate=-1)
 
 
 @pytest.mark.skipif(not has_compiled(), reason="compiled kernel not built")
