@@ -34,7 +34,7 @@ from .lattice import (
     plane_basis,
     tau_vector,
 )
-from .oracle import CountReport, count, has_compiled, kernel_name, pick_check
+from .oracle import CountReport, count, pick_check
 
 __version__ = "0.1.0"
 
@@ -66,8 +66,6 @@ __all__ = [
     "find_rs",
     "frame_system",
     "generators",
-    "has_compiled",
-    "kernel_name",
     "membership",
     "pick_check",
     "plane_basis",

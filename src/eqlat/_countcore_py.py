@@ -18,9 +18,6 @@ at all; the others classify at most three indices, a vertex being counted at
 the first of the zeros that meet there.  A row lying wholly on an edge line
 is classified point by point.  The cost is O(rows) plus the length of such
 edge rows, and the result equals a classification of every cell of the box.
-
-The compiled kernel in _countcore.pyx returns identical results by testing
-every point of each row's interval in int64 arithmetic.
 """
 
 from __future__ import annotations

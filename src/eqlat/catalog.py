@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from multiprocessing import Pool
 
@@ -47,7 +47,6 @@ class VerificationRecord:
     per_side_actual: tuple[int, int, int]
     pick_ok: bool
     passed: bool
-    elapsed: float
 
 
 def table1_row(d: int) -> CatalogRow:
@@ -74,13 +73,19 @@ def e_of_d(d: int) -> set[EhrhartPoly]:
     return out
 
 
+def _check_pairs(mn_list: list[tuple[int, int]]) -> None:
+    for m, n in mn_list:
+        if m == 0 and n == 0:
+            raise ValueError("degenerate triangle: (m, n) = (0, 0)")
+
+
 def verify_triple(
     t: Triple,
     mn_list: list[tuple[int, int]],
-    t_max: int,
-    kernel: str = "auto",
+    dilations: Sequence[int],
 ) -> list[VerificationRecord]:
     """Run every (m, n, dilation) comparison for one triple."""
+    _check_pairs(mn_list)
     f, ab = frame_system(t)
     basis = plane_basis(t)
     records = []
@@ -90,10 +95,8 @@ def verify_triple(
         poly = ehrhart_from_frame(f, ab, m, n)
         nus = side_divisors(f, ab, mr, nr)
         tri = Triangle(*triangle_vertices(f, m, n), t, basis)
-        for dil in range(1, t_max + 1):
-            start = time.perf_counter()
-            rep = tri.count(dil, kernel)
-            elapsed = time.perf_counter() - start
+        for dil in dilations:
+            rep = tri.count(dil)
             # the (m, n) triangle at dilation dil is the reduced (mr, nr)
             # triangle at dilation g*dil
             eff = g * dil
@@ -124,15 +127,14 @@ def verify_triple(
                     per_side_actual=rep.per_side,
                     pick_ok=pick_ok,
                     passed=ok,
-                    elapsed=elapsed,
                 )
             )
     return records
 
 
 def _verify_task(args: tuple) -> list[VerificationRecord]:
-    t_abc, d, mn_list, t_max, kernel = args
-    return verify_triple(Triple(*t_abc, d), mn_list, t_max, kernel)
+    t_abc, d, mn_list, dilations = args
+    return verify_triple(Triple(*t_abc, d), mn_list, dilations)
 
 
 def verify_campaign(
@@ -140,19 +142,17 @@ def verify_campaign(
     mn_list: list[tuple[int, int]],
     t_max: int,
     workers: int = 1,
-    kernel: str = "auto",
 ) -> list[VerificationRecord]:
     """Compare formulas against the oracle for every triple with d <= d_max."""
-    for m, n in mn_list:
-        if m == 0 and n == 0:
-            raise ValueError("degenerate triangle: (m, n) = (0, 0)")
+    _check_pairs(mn_list)
     triples = [t for d in range(1, d_max + 1) for t in enumerate_triples(d)]
+    dilations = range(1, t_max + 1)
     if workers > 1:
-        tasks = [(t.abc(), t.d, mn_list, t_max, kernel) for t in triples]
+        tasks = [(t.abc(), t.d, mn_list, dilations) for t in triples]
         with Pool(workers) as pool:
             chunks = pool.map(_verify_task, tasks)
     else:
-        chunks = [verify_triple(t, mn_list, t_max, kernel) for t in triples]
+        chunks = [verify_triple(t, mn_list, dilations) for t in triples]
     return [rec for chunk in chunks for rec in chunk]
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -184,22 +183,9 @@ def cmd_ehrhart(args) -> tuple[dict, list, list[str]]:
 
 def cmd_count(args) -> tuple[dict, list, list[str]]:
     t = Triple.from_abc(args.a, args.b, args.c)
-    f, ab = ehrhart.frame_system(t)
-    basis = plane_basis(t)
-    p_vert, q_vert = frame.triangle_vertices(f, args.m, args.n)
-    poly = ehrhart.ehrhart_from_frame(f, ab, args.m, args.n)
-    rep = oracle.count(p_vert, q_vert, t, args.t, basis=basis)
-    g = math.gcd(args.m, args.n)
-    nus = ehrhart.side_divisors(f, ab, args.m // g, args.n // g)
-    eff = g * args.t
-    formula = poly.evaluate(args.t)
-    pick_ok = oracle.pick_check(rep, poly.quad_num, args.t)
-    match = (
-        formula == rep.total
-        and rep.boundary == nus.total() * eff
-        and rep.per_side == nus.interior_counts(eff)
-        and pick_ok
-    )
+    (rec,) = catalog.verify_triple(t, [(args.m, args.n)], [args.t])
+    p_vert, q_vert = frame.triangle_vertices(frame.build_frame(t), args.m, args.n)
+    interior = rec.oracle_count - rec.boundary_actual
     results = {
         "triple": list(t.abc()),
         "d": t.d,
@@ -207,40 +193,46 @@ def cmd_count(args) -> tuple[dict, list, list[str]]:
         "n": args.n,
         "t": args.t,
         "vertices": [_vec(p_vert), _vec(q_vert)],
-        "total": rep.total,
-        "boundary": rep.boundary,
-        "interior": rep.interior,
-        "per_side": list(rep.per_side),
-        "formula_count": formula,
-        "quad_num": poly.quad_num,
-        "lin_num": poly.lin_num,
-        "match": match,
-        "pick_ok": pick_ok,
-        "kernel": oracle.kernel_name(),
+        "total": rec.oracle_count,
+        "boundary": rec.boundary_actual,
+        "interior": interior,
+        "per_side": list(rec.per_side_actual),
+        "formula_count": rec.formula_count,
+        "quad_num": rec.quad_num,
+        "lin_num": rec.lin_num,
+        "match": rec.passed,
+        "pick_ok": rec.pick_ok,
+        "kernel": "pure",
     }
     failures = []
-    if not match:
+    if not rec.passed:
         failures.append(
             {
                 "triple": list(t.abc()),
                 "m": args.m,
                 "n": args.n,
                 "t": args.t,
-                "formula_count": formula,
-                "oracle_count": rep.total,
+                "formula_count": rec.formula_count,
+                "oracle_count": rec.oracle_count,
             }
         )
+    rendered = ehrhart.EhrhartPoly(rec.quad_num, rec.lin_num).render()
     human = [
         f"triangle ({args.m}, {args.n}) on ({t.a}, {t.b}, {t.c}), dilation {args.t}",
         f"  P = {p_vert.as_tuple()}, Q = {q_vert.as_tuple()}",
-        f"  oracle: total {rep.total}, boundary {rep.boundary}, "
-        f"interior {rep.interior}, per side {rep.per_side}",
-        f"  formula: {formula}  [{poly.render()}]",
-        f"  match: {'yes' if match else 'NO'}, pick identity: {'ok' if pick_ok else 'FAILED'}",
+        f"  oracle: total {rec.oracle_count}, boundary {rec.boundary_actual}, "
+        f"interior {interior}, per side {rec.per_side_actual}",
+        f"  formula: {rec.formula_count}  [{rendered}]",
+        f"  match: {'yes' if rec.passed else 'NO'}, "
+        f"pick identity: {'ok' if rec.pick_ok else 'FAILED'}",
     ]
     if args.inflate_check:
-        rep2 = oracle.count(p_vert, q_vert, t, args.t, basis=basis, inflate=2)
-        stable = rep2 == rep
+        rep = oracle.count(p_vert, q_vert, t, args.t, inflate=2)
+        stable = (rep.total, rep.boundary, rep.per_side) == (
+            rec.oracle_count,
+            rec.boundary_actual,
+            rec.per_side_actual,
+        )
         results["inflate_check"] = stable
         human.append(f"  inflate check: {'stable' if stable else 'UNSTABLE'}")
         if not stable:

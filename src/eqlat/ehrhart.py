@@ -78,17 +78,6 @@ def c1_general(f: Frame, ab: AlphaBeta, m: int, n: int) -> int:
     return side_divisors(f, ab, m, n).total()
 
 
-def c1_minimal(ab: AlphaBeta) -> int:
-    """Boundary count of the minimal triangle, written in its direct form."""
-    hs = (ab.r_red + ab.s_red) // 2
-    hd = (ab.r_red - ab.s_red) // 2
-    return (
-        math.gcd(ab.r_red, ab.beta)
-        + math.gcd(hs, ab.alpha)
-        + math.gcd(hd, ab.alpha + ab.beta)
-    )
-
-
 def c1_aeqb(d: int, m: int, n: int) -> int:
     """Boundary count shortcut for triples with an equal coordinate pair."""
     if m == 0 and n == 0:

@@ -15,18 +15,14 @@ side PQ lam_num + mu_num = t*D.  Everything is integer arithmetic.
 
 The triangle is validated once, when a Triangle is built: vertex membership,
 the Gram determinant, basis coordinates and barycentric coefficients.  Each
-dilation then only sizes the box, picks the kernel, scans and checks that
-exactly three vertices were found, so a campaign over several dilations of
-one triangle pays for the setup once.  count() is that path for a single
-dilation.
+dilation then only sizes the box, scans and checks that exactly three
+vertices were found, so a campaign over several dilations of one triangle
+pays for the setup once.  count() is that path for a single dilation.
 
-Two kernels with identical results do the scan.  The pure-Python kernel
-works in arbitrary precision and counts each row of the box from its exact
-feasible interval, doing edge work only on rows where a constraint has an
-integral zero, so its cost grows with the number of rows rather than of
-points.  The compiled extension works in int64 (used when a conservative
-bound proves no intermediate can overflow) and tests every point of each
-row's interval.
+The scan is _countcore_py.scan_box, in arbitrary precision.  It counts each
+row of the box from its exact feasible interval, doing edge work only on rows
+where a constraint has an integral zero, so its cost grows with the number of
+rows rather than of points.
 """
 
 from __future__ import annotations
@@ -36,31 +32,6 @@ from dataclasses import dataclass
 from . import _countcore_py
 from .intmath import Vec3
 from .lattice import BasisPair, Triple, coordinates_in_basis, membership, plane_basis
-
-try:
-    from . import _countcore  # type: ignore[attr-defined]
-except ImportError:  # extension not built; pure path only
-    _countcore = None
-
-_INT64_LIMIT = 2**62
-
-
-def has_compiled() -> bool:
-    return _countcore is not None
-
-
-def kernel_name() -> str:
-    return "compiled" if has_compiled() else "pure"
-
-
-def _int64_safe(args: tuple[int, ...]) -> bool:
-    """Conservative check that every kernel intermediate fits in int64."""
-    o_lo, o_hi, i_lo, i_hi, a_o, a_i, b_o, b_i, bound = args
-    om = max(abs(o_lo), abs(o_hi), 1)
-    im = max(abs(i_lo), abs(i_hi), 1)
-    worst = abs(bound) + om * (abs(a_o) + abs(b_o)) + im * (abs(a_i) + abs(b_i))
-    return worst < _INT64_LIMIT
-
 
 @dataclass(frozen=True, slots=True)
 class CountReport:
@@ -134,11 +105,11 @@ class Triangle:
             self._box = (i_lo, i_hi, j_lo, j_hi)
             self._coeffs = (c_lu, c_lt, c_mu, c_mt)
 
-    def count(self, dilation: int, kernel: str = "auto", inflate: int = 0) -> CountReport:
+    def count(self, dilation: int, inflate: int = 0) -> CountReport:
         """Count lattice points of the triangle dilated by `dilation`."""
         _check_scan(dilation, inflate)
         o_lo, o_hi, i_lo, i_hi = self._box
-        args = (
+        total, on_op, on_pq, on_oq, verts = _countcore_py.scan_box(
             dilation * o_lo - inflate,
             dilation * o_hi + inflate,
             dilation * i_lo - inflate,
@@ -146,21 +117,6 @@ class Triangle:
             *self._coeffs,
             dilation * self._det,
         )
-
-        if kernel == "auto":
-            impl = _countcore if (_countcore is not None and _int64_safe(args)) else _countcore_py
-        elif kernel == "c":
-            if _countcore is None:
-                raise ValueError("compiled kernel is not available")
-            if not _int64_safe(args):
-                raise ValueError("inputs exceed the compiled kernel's int64 range")
-            impl = _countcore
-        elif kernel == "py":
-            impl = _countcore_py
-        else:
-            raise ValueError(f"unknown kernel {kernel!r}")
-
-        total, on_op, on_pq, on_oq, verts = impl.scan_box(*args)
         if verts != 3:
             raise RuntimeError(f"scan found {verts} vertices, expected 3")
         boundary = 3 + on_op + on_pq + on_oq
@@ -179,13 +135,12 @@ def count(
     t: Triple,
     dilation: int,
     basis: BasisPair | None = None,
-    kernel: str = "auto",
     inflate: int = 0,
 ) -> CountReport:
     """Count lattice points of the dilated triangle with vertices O, p, q."""
     # a bad dilation or margin is reported before a bad triangle
     _check_scan(dilation, inflate)
-    return Triangle(p, q, t, basis).count(dilation, kernel, inflate)
+    return Triangle(p, q, t, basis).count(dilation, inflate)
 
 
 def pick_check(report: CountReport, quad_num: int, dilation: int) -> bool:

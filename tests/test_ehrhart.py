@@ -10,7 +10,6 @@ from eqlat.ehrhart import (
     c0_doubled,
     c1_aeqb,
     c1_general,
-    c1_minimal,
     ehrhart_from_frame,
     ehrhart_poly,
     frame_system,
@@ -90,6 +89,17 @@ def test_side_divisors_frame_mismatch():
     bogus = AlphaBeta(alpha=1, beta=0, r_red=1, s_red=1, d=5, tau_sign=1)
     with pytest.raises(ValueError, match="disagree"):
         side_divisors(f, bogus, 1, 0)
+
+
+def c1_minimal(ab: AlphaBeta) -> int:
+    """Boundary count of the minimal triangle, written in its direct form."""
+    hs = (ab.r_red + ab.s_red) // 2
+    hd = (ab.r_red - ab.s_red) // 2
+    return (
+        math.gcd(ab.r_red, ab.beta)
+        + math.gcd(hs, ab.alpha)
+        + math.gcd(hd, ab.alpha + ab.beta)
+    )
 
 
 @pytest.mark.parametrize("t", all_triples(41))
