@@ -23,7 +23,7 @@ from .frame import (
     solve_alpha_beta,
     triangle_vertices,
 )
-from .intmath import Vec3, extended_gcd, sqrt_exact
+from .intmath import Vec3, sqrt_exact
 from .lattice import (
     BasisPair,
     GeneratorSet,
@@ -62,7 +62,6 @@ __all__ = [
     "ehrhart_poly",
     "enumerate_triples",
     "equal_pair_frame",
-    "extended_gcd",
     "find_rs",
     "frame_system",
     "generators",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -90,18 +89,13 @@ def verify_triple(
     basis = plane_basis(t)
     records = []
     for m, n in mn_list:
-        g = math.gcd(m, n)
-        mr, nr = m // g, n // g
         poly = ehrhart_from_frame(f, ab, m, n)
-        nus = side_divisors(f, ab, mr, nr)
+        nus = side_divisors(f, ab, m, n)
         tri = Triangle(*triangle_vertices(f, m, n), t, basis)
         for dil in dilations:
             rep = tri.count(dil)
-            # the (m, n) triangle at dilation dil is the reduced (mr, nr)
-            # triangle at dilation g*dil
-            eff = g * dil
-            expected_sides = nus.interior_counts(eff)
-            expected_boundary = nus.total() * eff
+            expected_sides = nus.interior_counts(dil)
+            expected_boundary = nus.total() * dil
             formula = poly.evaluate(dil)
             pick_ok = pick_check(rep, poly.quad_num, dil)
             ok = (

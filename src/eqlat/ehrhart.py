@@ -59,9 +59,13 @@ def c0_doubled(d: int, m: int, n: int) -> int:
 
 
 def side_divisors(f: Frame, ab: AlphaBeta, m: int, n: int) -> SideDecomposition:
-    """One gcd per side of the (m, n) triangle, for coprime (m, n)."""
-    if math.gcd(m, n) != 1:
-        raise ValueError("reduce dilation first: (m, n) must be coprime")
+    """One gcd per side of the (m, n) triangle.
+
+    Each gcd is of expressions linear in (m, n), so the divisors of
+    (g*m, g*n) are g times those of (m, n).
+    """
+    if m == 0 and n == 0:
+        raise ValueError("degenerate triangle: (m, n) = (0, 0)")
     if ab.d != f.triple.d:
         raise ValueError("frame and basis data disagree")
     hs = (ab.r_red + ab.s_red) // 2
@@ -74,7 +78,7 @@ def side_divisors(f: Frame, ab: AlphaBeta, m: int, n: int) -> SideDecomposition:
 
 
 def c1_general(f: Frame, ab: AlphaBeta, m: int, n: int) -> int:
-    """Boundary count at t = 1 for the coprime (m, n) triangle."""
+    """Boundary count at t = 1 for the (m, n) triangle."""
     return side_divisors(f, ab, m, n).total()
 
 
@@ -96,19 +100,19 @@ def ehrhart_from_frame(f: Frame, ab: AlphaBeta, m: int, n: int) -> EhrhartPoly:
     """Polynomial of the (m, n) triangle given precomputed frame data."""
     if m == 0 and n == 0:
         raise ValueError("degenerate triangle: (m, n) = (0, 0)")
-    g = math.gcd(m, n)
-    mr, nr = m // g, n // g
     d = f.triple.d
-    c1 = c1_general(f, ab, mr, nr)
+    c1 = c1_general(f, ab, m, n)
     t = f.triple
     if t.a == t.b or t.b == t.c:
-        # the shortcut and the general formula must agree on equal-pair triples
-        shortcut = c1_aeqb(d, mr, nr)
+        # the shortcut and the general formula must agree on equal-pair
+        # triples; the shortcut holds for coprime pairs only
+        g = math.gcd(m, n)
+        shortcut = g * c1_aeqb(d, m // g, n // g)
         if c1 != shortcut:
             raise RuntimeError(
-                f"equal-pair cross-check failed for {t.abc()}, ({mr},{nr}): {c1} vs {shortcut}"
+                f"equal-pair cross-check failed for {t.abc()}, ({m},{n}): {c1} vs {shortcut}"
             )
-    return EhrhartPoly(quad_num=c0_doubled(d, mr, nr) * g * g, lin_num=c1 * g)
+    return EhrhartPoly(quad_num=c0_doubled(d, m, n), lin_num=c1)
 
 
 def ehrhart_poly(t: Triple, m: int = 1, n: int = 0) -> EhrhartPoly:

@@ -1,4 +1,4 @@
-"""Exact integer arithmetic helpers: extended gcd, square roots, 3-vectors.
+"""Exact integer arithmetic helpers: square roots and 3-vectors.
 
 Everything here works on arbitrary-precision Python integers; nothing ever
 goes through floats.
@@ -8,27 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-
-def extended_gcd(x: int, y: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with s*x + t*y = g = gcd(x, y) > 0.
-
-    Deterministic: the iterative Euclid below always yields the same
-    certificate for the same inputs.  (0, 0) has no positive gcd and raises.
-    """
-    if x == 0 and y == 0:
-        raise ValueError("extended_gcd(0, 0) is undefined")
-    r0, r1 = x, y
-    s0, s1 = 1, 0
-    t0, t1 = 0, 1
-    while r1 != 0:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0 < 0:
-        r0, s0, t0 = -r0, -s0, -t0
-    return r0, s0, t0
 
 
 def sqrt_exact(n: int) -> int | None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .intmath import Vec3, extended_gcd, sqrt_exact
+from .intmath import Vec3, sqrt_exact
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,12 +86,10 @@ def generators(t: Triple) -> GeneratorSet:
     v = Vec3(-c // gac, 0, a // gac)
     gbc = math.gcd(b, c)
     w = Vec3(0, -c // gbc, b // gbc)
-    _, k0, _ = extended_gcd(a, b)
-    # all Bezout k differ by multiples of b/omega; pick the least positive one
+    # all Bezout k are the inverses of a/omega mod b/omega; pick the least
+    # positive one
     step = b // omega
-    k = k0 % step
-    if k == 0:
-        k = step
+    k = pow(a // omega, -1, step) or step
     l = (omega - k * a) // b
     if k * a + l * b != omega:
         raise RuntimeError(f"Bezout certificate {k}*{a} + {l}*{b} != {omega}")

@@ -78,10 +78,23 @@ def test_large_worked_example():
     assert p.evaluate(1) == 297
 
 
-def test_side_divisors_requires_coprime():
-    f, ab = frame_system(Triple(1, 1, 1, 1))
-    with pytest.raises(ValueError, match="coprime"):
-        side_divisors(f, ab, 2, 0)
+@given(
+    st.sampled_from(all_triples(41)),
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=2, max_value=4),
+)
+def test_side_divisors_homogeneous(t, m, n, g):
+    # every divisor is a gcd of forms linear in (m, n), so it scales with g
+    if (m, n) == (0, 0):
+        return
+    f, ab = frame_system(t)
+    nus = side_divisors(f, ab, m, n)
+    assert side_divisors(f, ab, g * m, g * n) == SideDecomposition(
+        g * nus.nu_op, g * nus.nu_pq, g * nus.nu_oq
+    )
+    with pytest.raises(ValueError, match="degenerate"):
+        side_divisors(f, ab, 0, 0)
 
 
 def test_side_divisors_frame_mismatch():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eqlat.intmath import Vec3, extended_gcd, sqrt_exact
+from eqlat.intmath import Vec3, sqrt_exact
 
 ints = st.integers(min_value=-10**9, max_value=10**9)
 
@@ -16,32 +16,6 @@ ints = st.integers(min_value=-10**9, max_value=10**9)
 def test_gcd_nonneg(x, y, g):
     """The closed forms call math.gcd and rely on this sign convention."""
     assert math.gcd(x, y) == g
-
-
-def test_extended_gcd_examples():
-    assert extended_gcd(0, 5) == (5, 0, 1)
-    g, s, t = extended_gcd(1, 7)
-    assert g == 1 and s * 1 + t * 7 == 1
-    g, s, t = extended_gcd(245, 613)
-    assert g == 1 and 245 * s + 613 * t == 1
-
-
-def test_extended_gcd_zero_zero():
-    with pytest.raises(ValueError):
-        extended_gcd(0, 0)
-
-
-def test_extended_gcd_deterministic():
-    assert extended_gcd(245, 613) == extended_gcd(245, 613)
-
-
-@given(ints, ints)
-def test_extended_gcd_identity(x, y):
-    if x == 0 and y == 0:
-        return
-    g, s, t = extended_gcd(x, y)
-    assert g == math.gcd(x, y) > 0
-    assert s * x + t * y == g
 
 
 @pytest.mark.parametrize("n,r", [(0, 0), (1, 1), (25, 5), (97, None), (674, None), (675, None)])

@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqlat import _countcore_py
+from eqlat import oracle
 from eqlat.ehrhart import ehrhart_poly, frame_system, side_divisors
 from eqlat.frame import enumerate_triples, triangle_vertices
 from eqlat.intmath import Vec3
-from eqlat.lattice import Triple
-from eqlat.oracle import CountReport, Triangle, count, pick_check
+from eqlat.lattice import BasisPair, Triple, coordinates_in_basis, plane_basis
+from eqlat.oracle import CountReport, Triangle, count, pick_check, scan_box
 
 
 def naive_scan(o_lo, o_hi, i_lo, i_hi, a_o, a_i, b_o, b_i, bound):
@@ -37,19 +37,19 @@ coeff = st.integers(min_value=-40, max_value=40)
 edge = st.integers(min_value=-8, max_value=8)
 
 
-# coefficients up to 40 leave most rows without an integral zero, so rows
-# with and without edge work both occur often
+# coefficients up to 40 leave most rows without an integral zero at an
+# interval end, so rows with and without exact ends both occur often
 @settings(max_examples=1000)
 @given(edge, edge, edge, edge, coeff, coeff, coeff, coeff, st.integers(min_value=-20, max_value=120))
 def test_row_scan_equals_naive(o_lo, o_span, i_lo, i_span, a_o, a_i, b_o, b_i, bound):
     o_hi = o_lo + abs(o_span)
     i_hi = i_lo + abs(i_span)
     args = (o_lo, o_hi, i_lo, i_hi, a_o, a_i, b_o, b_i, bound)
-    assert _countcore_py.scan_box(*args) == naive_scan(*args)
+    assert scan_box(*args) == naive_scan(*args)[0]
 
 
-# Rows lying wholly on one edge line, the only rows the interval scan
-# classifies point by point; per_side index of that edge's points.
+# Rows lying wholly on one edge line, where a constraint is zero along the
+# whole row rather than at one interval end; per_side index of that edge.
 edge_rows = [
     pytest.param((-2, 13, -4, 8, 1, 0, -1, 2, 12), 2, id="lam-row-a_i-0"),
     pytest.param((-2, 13, -4, 8, -1, 2, 1, 0, 12), 0, id="mu-row-b_i-0"),
@@ -61,7 +61,7 @@ edge_rows = [
 def test_row_scan_edge_rows(args, side):
     expected = naive_scan(*args)
     assert expected[4] == 3 and expected[1 + side] > 1
-    assert _countcore_py.scan_box(*args) == expected
+    assert scan_box(*args) == expected[0]
 
 
 # Triangles O = (0, 0), P = (3, 1), Q = (1, 4) in box coordinates, so
@@ -81,7 +81,7 @@ def test_row_scan_vertex_rows(args):
     assert expected[4] == 3
     a_i, b_i = args[5], args[7]
     assert a_i and b_i and a_i + b_i
-    assert _countcore_py.scan_box(*args) == expected
+    assert scan_box(*args) == expected[0]
 
 
 # Scaling every coefficient and the bound by K >= 2**64 scales lam, mu and
@@ -96,7 +96,7 @@ def test_row_scan_vertex_rows(args):
 def test_row_scan_arbitrary_precision(o_lo, o_span, i_lo, i_span, a_o, a_i, b_o, b_i, bound, k):
     box = (o_lo, o_lo + abs(o_span), i_lo, i_lo + abs(i_span))
     scaled = (k * a_o, k * a_i, k * b_o, k * b_i, k * bound)
-    assert _countcore_py.scan_box(*box, *scaled) == naive_scan(*box, a_o, a_i, b_o, b_i, bound)
+    assert scan_box(*box, *scaled) == naive_scan(*box, a_o, a_i, b_o, b_i, bound)[0]
 
 
 def test_count_minimal_plane():
@@ -104,7 +104,7 @@ def test_count_minimal_plane():
     f, _ = frame_system(t)
     p, q = triangle_vertices(f, 1, 0)
     rep = count(p, q, t, 1)
-    assert rep == CountReport(total=3, boundary=3, interior=0, per_side=(0, 0, 0), vertices=3)
+    assert rep == CountReport(total=3, boundary=3, interior=0, per_side=(0, 0, 0))
     rep3 = count(p, q, t, 3)
     assert rep3.total == 10 and rep3.boundary == 9 and rep3.interior == 1
     assert rep3.per_side == (2, 2, 2)
@@ -190,6 +190,71 @@ def test_triangle_setup_equals_fresh_count(t, m, n):
             rep = tri.count(dil, inflate=inflate)
             assert rep == count(p, q, t, dil, inflate=inflate)
             assert rep.total == poly.evaluate(dil)
+
+
+def reduced_basis(t):
+    """Lagrange-Gauss reduction of the plane basis, so boxes are not skewed."""
+    basis = plane_basis(t)
+    u, v = basis.u, basis.tau
+    if u.norm_sq() > v.norm_sq():
+        u, v = v, u
+    while True:
+        n = u.norm_sq()
+        v = v - u * ((2 * u.dot(v) + n) // (2 * n))
+        if v.norm_sq() >= n:
+            return BasisPair(u, v)
+        u, v = v, u
+
+
+def classify_cells(p, q, t, dil, inflate):
+    """Reference: classify every cell of the box of the dilated triangle.
+
+    Works in coordinates of a reduced basis, not the oracle's, and with 2x2
+    determinants, not its Gram numerators: X = lam*A + mu*B for the dilated
+    vertices A and B.
+    """
+    basis = reduced_basis(t)
+    a = [dil * x for x in coordinates_in_basis(p, basis, t)]
+    b = [dil * x for x in coordinates_in_basis(q, basis, t)]
+    det = a[0] * b[1] - a[1] * b[0]
+    s = 1 if det > 0 else -1
+    box = [(min(0, a[k], b[k]) - inflate, max(0, a[k], b[k]) + inflate) for k in (0, 1)]
+    # lam = s*det(X, B), mu = s*det(A, X), bound |det(A, B)|
+    total, on_op, on_pq, on_oq, verts = naive_scan(
+        *box[0], *box[1], s * b[1], -s * b[0], -s * a[1], s * a[0], abs(det)
+    )
+    assert verts == 3
+    return total, 3 + on_op + on_pq + on_oq, (on_op, on_pq, on_oq)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(small_triples),
+    st.integers(min_value=-4, max_value=4),
+    st.integers(min_value=-4, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from((0, 2)),
+)
+def test_triangle_counts_equal_cell_classification(t, m, n, dil, inflate):
+    # the per-side split comes from gcds of basis coordinates; check it
+    # against a point-by-point classification of the box
+    if m == 0 and n == 0:
+        return
+    f, _ = frame_system(t)
+    p, q = triangle_vertices(f, m, n)
+    rep = Triangle(p, q, t).count(dil, inflate=inflate)
+    assert (rep.total, rep.boundary, rep.per_side) == classify_cells(p, q, t, dil, inflate)
+
+
+def test_pick_check_catches_miscounted_scan(monkeypatch):
+    # the check must hold under python -O, so it may not be an assert
+    real = oracle.scan_box
+    monkeypatch.setattr(oracle, "scan_box", lambda *args: real(*args) + 1)
+    t = Triple.from_abc(5, 7, 13)
+    f, _ = frame_system(t)
+    p, q = triangle_vertices(f, 2, 1)
+    with pytest.raises(RuntimeError, match="Pick"):
+        count(p, q, t, 3)
 
 
 def test_count_input_validation():
