@@ -12,8 +12,8 @@ from .ehrhart import (
     frame_system,
     side_divisors,
 )
-from .frame import Triple, enumerate_triples, triangle_vertices
-from .lattice import plane_basis
+from .frame import AlphaBeta, Frame, Triple, enumerate_triples, triangle_vertices
+from .lattice import BasisPair, plane_basis
 from .oracle import Triangle, pick_check
 
 
@@ -78,6 +78,54 @@ def _check_pairs(mn_list: list[tuple[int, int]]) -> None:
             raise ValueError("degenerate triangle: (m, n) = (0, 0)")
 
 
+def verify_pair(
+    f: Frame,
+    ab: AlphaBeta,
+    basis: BasisPair,
+    m: int,
+    n: int,
+    dilations: Sequence[int],
+) -> list[VerificationRecord]:
+    """Run every dilation comparison for the (m, n) triangle of one frame."""
+    t = f.triple
+    poly = ehrhart_from_frame(f, ab, m, n)
+    nus = side_divisors(f, ab, m, n)
+    tri = Triangle(*triangle_vertices(f, m, n), t, basis)
+    records = []
+    for dil in dilations:
+        rep = tri.count(dil)
+        expected_sides = nus.interior_counts(dil)
+        expected_boundary = nus.total() * dil
+        formula = poly.evaluate(dil)
+        pick_ok = pick_check(rep, poly.quad_num, dil)
+        ok = (
+            formula == rep.total
+            and rep.boundary == expected_boundary
+            and rep.per_side == expected_sides
+            and pick_ok
+        )
+        records.append(
+            VerificationRecord(
+                triple=t.abc(),
+                d=t.d,
+                m=m,
+                n=n,
+                t=dil,
+                quad_num=poly.quad_num,
+                lin_num=poly.lin_num,
+                formula_count=formula,
+                oracle_count=rep.total,
+                boundary_expected=expected_boundary,
+                boundary_actual=rep.boundary,
+                per_side_expected=expected_sides,
+                per_side_actual=rep.per_side,
+                pick_ok=pick_ok,
+                passed=ok,
+            )
+        )
+    return records
+
+
 def verify_triple(
     t: Triple,
     mn_list: list[tuple[int, int]],
@@ -87,43 +135,7 @@ def verify_triple(
     _check_pairs(mn_list)
     f, ab = frame_system(t)
     basis = plane_basis(t)
-    records = []
-    for m, n in mn_list:
-        poly = ehrhart_from_frame(f, ab, m, n)
-        nus = side_divisors(f, ab, m, n)
-        tri = Triangle(*triangle_vertices(f, m, n), t, basis)
-        for dil in dilations:
-            rep = tri.count(dil)
-            expected_sides = nus.interior_counts(dil)
-            expected_boundary = nus.total() * dil
-            formula = poly.evaluate(dil)
-            pick_ok = pick_check(rep, poly.quad_num, dil)
-            ok = (
-                formula == rep.total
-                and rep.boundary == expected_boundary
-                and rep.per_side == expected_sides
-                and pick_ok
-            )
-            records.append(
-                VerificationRecord(
-                    triple=t.abc(),
-                    d=t.d,
-                    m=m,
-                    n=n,
-                    t=dil,
-                    quad_num=poly.quad_num,
-                    lin_num=poly.lin_num,
-                    formula_count=formula,
-                    oracle_count=rep.total,
-                    boundary_expected=expected_boundary,
-                    boundary_actual=rep.boundary,
-                    per_side_expected=expected_sides,
-                    per_side_actual=rep.per_side,
-                    pick_ok=pick_ok,
-                    passed=ok,
-                )
-            )
-    return records
+    return [rec for m, n in mn_list for rec in verify_pair(f, ab, basis, m, n, dilations)]
 
 
 def _verify_task(args: tuple) -> list[VerificationRecord]:

@@ -13,7 +13,7 @@ import os
 import re
 import sys
 
-from . import catalog, ehrhart, frame, oracle
+from . import catalog, ehrhart, frame
 from .lattice import Triple, generators, plane_basis
 
 
@@ -80,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("m", type=int)
     sp.add_argument("n", type=int)
     sp.add_argument("t", type=int)
-    sp.add_argument("--inflate-check", action="store_true", help="re-scan with a widened box")
     _add_format(sp)
 
     sp = sub.add_parser("table1", help="catalog rows for all radii up to d_max")
@@ -183,8 +182,9 @@ def cmd_ehrhart(args) -> tuple[dict, list, list[str]]:
 
 def cmd_count(args) -> tuple[dict, list, list[str]]:
     t = Triple.from_abc(args.a, args.b, args.c)
-    (rec,) = catalog.verify_triple(t, [(args.m, args.n)], [args.t])
-    p_vert, q_vert = frame.triangle_vertices(frame.build_frame(t), args.m, args.n)
+    f, ab = ehrhart.frame_system(t)
+    p_vert, q_vert = frame.triangle_vertices(f, args.m, args.n)
+    (rec,) = catalog.verify_pair(f, ab, plane_basis(t), args.m, args.n, [args.t])
     interior = rec.oracle_count - rec.boundary_actual
     results = {
         "triple": list(t.abc()),
@@ -202,7 +202,6 @@ def cmd_count(args) -> tuple[dict, list, list[str]]:
         "lin_num": rec.lin_num,
         "match": rec.passed,
         "pick_ok": rec.pick_ok,
-        "kernel": "pure",
     }
     failures = []
     if not rec.passed:
@@ -226,17 +225,6 @@ def cmd_count(args) -> tuple[dict, list, list[str]]:
         f"  match: {'yes' if rec.passed else 'NO'}, "
         f"pick identity: {'ok' if rec.pick_ok else 'FAILED'}",
     ]
-    if args.inflate_check:
-        rep = oracle.count(p_vert, q_vert, t, args.t, inflate=2)
-        stable = (rep.total, rep.boundary, rep.per_side) == (
-            rec.oracle_count,
-            rec.boundary_actual,
-            rec.per_side_actual,
-        )
-        results["inflate_check"] = stable
-        human.append(f"  inflate check: {'stable' if stable else 'UNSTABLE'}")
-        if not stable:
-            failures.append({"inflate_check": "counts changed with widened box"})
     return results, failures, human
 
 
@@ -345,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         results, failures, human = {}, [str(exc)], []
         print(f"error: {exc}", file=sys.stderr)
     doc = {
-        "schema_version": "1",
+        "schema_version": "2",
         "command": args.command,
         "inputs": {
             k: v for k, v in vars(args).items() if k not in ("command", "format")

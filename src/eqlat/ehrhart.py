@@ -98,8 +98,6 @@ def frame_system(t: Triple) -> tuple[Frame, AlphaBeta]:
 
 def ehrhart_from_frame(f: Frame, ab: AlphaBeta, m: int, n: int) -> EhrhartPoly:
     """Polynomial of the (m, n) triangle given precomputed frame data."""
-    if m == 0 and n == 0:
-        raise ValueError("degenerate triangle: (m, n) = (0, 0)")
     d = f.triple.d
     c1 = c1_general(f, ab, m, n)
     t = f.triple

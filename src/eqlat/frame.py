@@ -169,13 +169,10 @@ def build_frame(t: Triple, roles: Roles = IDENTITY_ROLES, rs: tuple[int, int] | 
     e1 = _permute_back(entries[0], roles)
     perp = _permute_back(entries[1], roles)
     e2 = Vec3((e1.x + perp.x) // 2, (e1.y + perp.y) // 2, (e1.z + perp.z) // 2)
-    d = t.d
-    if not (e1.norm_sq() == 2 * d * d and perp.norm_sq() == 6 * d * d):
-        raise RuntimeError(f"frame for {t.abc()}: wrong norms of e1 or perp")
-    if e1.dot(perp) != 0:
-        raise RuntimeError(f"frame for {t.abc()}: e1 not orthogonal to perp")
-    if not (membership(e1, t) and membership(e2, t)):
-        raise RuntimeError(f"frame for {t.abc()}: e1 or e2 off the plane")
+    # _frame_entries checked the parity, so 2*e2 - e1 == perp exactly
+    failed = [k for k, ok in check_frame_vectors(t, e1, e2).items() if not ok]
+    if failed:
+        raise RuntimeError(f"frame for {t.abc()}: invariant check failed: {', '.join(failed)}")
     omega = math.gcd(av, bv)
     # r and s are forced to be multiples of omega with quotients of equal
     # parity; d*u having integer frame coordinates guarantees it

@@ -115,11 +115,9 @@ def scan_box(
     return total
 
 
-def _check_scan(dilation: int, inflate: int) -> None:
+def _check_dilation(dilation: int) -> None:
     if dilation < 1:
         raise ValueError("dilation must be a positive integer")
-    if inflate < 0:
-        raise ValueError("inflate margin must be nonnegative")
 
 
 class Triangle:
@@ -170,8 +168,8 @@ class Triangle:
         c_mu = uq * g11 - up * g12
         c_mt = tq * g11 - tp * g12
 
-        # scan rows along the shorter box dimension; dilating and inflating
-        # the box never changes which one that is
+        # scan rows along the shorter box dimension; dilating the box never
+        # changes which one that is
         if j_hi - j_lo <= i_hi - i_lo:
             self._box = (j_lo, j_hi, i_lo, i_hi)
             self._coeffs = (c_lt, c_lu, c_mt, c_mu)
@@ -179,15 +177,15 @@ class Triangle:
             self._box = (i_lo, i_hi, j_lo, j_hi)
             self._coeffs = (c_lu, c_lt, c_mu, c_mt)
 
-    def count(self, dilation: int, inflate: int = 0) -> CountReport:
+    def count(self, dilation: int) -> CountReport:
         """Count lattice points of the triangle dilated by `dilation`."""
-        _check_scan(dilation, inflate)
+        _check_dilation(dilation)
         o_lo, o_hi, i_lo, i_hi = self._box
         total = scan_box(
-            dilation * o_lo - inflate,
-            dilation * o_hi + inflate,
-            dilation * i_lo - inflate,
-            dilation * i_hi + inflate,
+            dilation * o_lo,
+            dilation * o_hi,
+            dilation * i_lo,
+            dilation * i_hi,
             *self._coeffs,
             dilation * self._det,
         )
@@ -213,12 +211,11 @@ def count(
     t: Triple,
     dilation: int,
     basis: BasisPair | None = None,
-    inflate: int = 0,
 ) -> CountReport:
     """Count lattice points of the dilated triangle with vertices O, p, q."""
-    # a bad dilation or margin is reported before a bad triangle
-    _check_scan(dilation, inflate)
-    return Triangle(p, q, t, basis).count(dilation, inflate)
+    # a bad dilation is reported before a bad triangle
+    _check_dilation(dilation)
+    return Triangle(p, q, t, basis).count(dilation)
 
 
 def pick_check(report: CountReport, quad_num: int, dilation: int) -> bool:

@@ -1,0 +1,71 @@
+"""Test-side references for the oracle: point-by-point box classification.
+
+Shared by the oracle unit tests and the acceptance gate.  Nothing here
+comes from the oracle: the box is classified cell by cell, in the
+coordinates of a reduced basis, with 2x2 determinants.
+"""
+
+from eqlat.lattice import BasisPair, coordinates_in_basis, plane_basis
+
+
+def naive_scan(o_lo, o_hi, i_lo, i_hi, a_o, a_i, b_o, b_i, bound):
+    """Reference: classify every box cell, no interval shortcuts."""
+    total = on_op = on_pq = on_oq = verts = 0
+    for o in range(o_lo, o_hi + 1):
+        for i in range(i_lo, i_hi + 1):
+            lam = o * a_o + i * a_i
+            mu = o * b_o + i * b_i
+            if lam < 0 or mu < 0 or lam + mu > bound:
+                continue
+            total += 1
+            edges = (lam == 0) + (mu == 0) + (lam + mu == bound)
+            if edges >= 2:
+                verts += 1
+            elif edges == 1:
+                if mu == 0:
+                    on_op += 1
+                elif lam == 0:
+                    on_oq += 1
+                else:
+                    on_pq += 1
+    return total, on_op, on_pq, on_oq, verts
+
+
+def reduced_basis(t):
+    """Lagrange-Gauss reduction of the plane basis, so boxes are not skewed."""
+    basis = plane_basis(t)
+    u, v = basis.u, basis.tau
+    if u.norm_sq() > v.norm_sq():
+        u, v = v, u
+    while True:
+        n = u.norm_sq()
+        v = v - u * ((2 * u.dot(v) + n) // (2 * n))
+        if v.norm_sq() >= n:
+            return BasisPair(u, v)
+        u, v = v, u
+
+
+def classify_cells(p, q, t, dil, inflate):
+    """(total, boundary, per_side) of the dilated triangle O, p, q.
+
+    Classifies every cell of the triangle's box widened by `inflate` on each
+    side, so a box that is too small for the triangle cannot hide here.
+    Works in coordinates of a reduced basis, not the oracle's, and with 2x2
+    determinants, not its Gram numerators: X = lam*A + mu*B for the dilated
+    vertices A and B.
+    """
+    basis = reduced_basis(t)
+    a = [dil * x for x in coordinates_in_basis(p, basis, t)]
+    b = [dil * x for x in coordinates_in_basis(q, basis, t)]
+    det = a[0] * b[1] - a[1] * b[0]
+    s = 1 if det > 0 else -1
+    box = [(min(0, a[k], b[k]) - inflate, max(0, a[k], b[k]) + inflate) for k in (0, 1)]
+    # lam = s*det(X, B), mu = s*det(A, X), bound |det(A, B)|
+    total, on_op, on_pq, on_oq, verts = naive_scan(
+        *box[0], *box[1], s * b[1], -s * b[0], -s * a[1], s * a[0], abs(det)
+    )
+    # an explicit raise, not an assert: helper modules are not rewritten by
+    # pytest, and python -O would drop a bare assert here
+    if verts != 3:
+        raise AssertionError(f"classified {verts} vertices, expected 3")
+    return total, 3 + on_op + on_pq + on_oq, (on_op, on_pq, on_oq)

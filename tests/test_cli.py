@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from eqlat import catalog, cli
+from eqlat import catalog, cli, frame, oracle
 from eqlat.cli import _parse_mn_list, main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -56,7 +56,7 @@ def test_triples_human(capsys):
 def test_triples_machine(capsys):
     code, doc, _ = run_machine(capsys, "triples", "9")
     assert code == 0
-    assert doc["schema_version"] == "1"
+    assert doc["schema_version"] == "2"
     assert doc["command"] == "triples"
     assert doc["inputs"]["d"] == "9"
     assert doc["results"]["triples"] == [["1", "11", "11"], ["5", "7", "13"]]
@@ -104,14 +104,27 @@ def test_count_matches_formula(capsys):
     res = doc["results"]
     assert res["total"] == res["formula_count"] == "24"
     assert res["match"] is True and res["pick_ok"] is True
-    assert res["kernel"] == "pure"
+    assert "kernel" not in res
     assert no_bare_numbers(doc)
 
 
-def test_count_inflate_check(capsys):
-    code, out, _ = run_cli(capsys, "count", "1", "1", "19", "2", "1", "1", "--inflate-check")
+def test_count_builds_one_frame_and_scans_once(capsys, monkeypatch):
+    calls = {"find_rs": 0, "scan_box": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(frame, "find_rs")
+    counted(oracle, "scan_box")
+    code, _, _ = run_cli(capsys, "count", "139", "2461", "2461", "2", "1", "3")
     assert code == 0
-    assert "inflate check: stable" in out
+    assert calls == {"find_rs": 1, "scan_box": 1}
 
 
 def test_table1(capsys):
@@ -175,7 +188,7 @@ def test_parallel_capped_at_cpu_count(capsys, monkeypatch):
 golden_documents = [
     pytest.param(("verify", "9", "(1,0),(2,1),(3,1)", "2"), "verify_golden.json", id="verify"),
     pytest.param(
-        ("count", "139", "2461", "2461", "2", "1", "3", "--inflate-check"),
+        ("count", "139", "2461", "2461", "2", "1", "3"),
         "count_skewed_golden.json",
         id="count-skewed",
     ),
@@ -241,13 +254,21 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc3:
         main([])
     assert exc3.value.code == 2
+    with pytest.raises(SystemExit) as exc4:
+        main(["count", "5", "7", "13", "1", "0", "2", "--inflate-check"])
+    assert exc4.value.code == 2
 
 
 def test_module_entry_point():
+    # the child process finds the package where this process imported it
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "eqlat.cli", "triples", "3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "1 1 5" in proc.stdout

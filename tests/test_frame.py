@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eqlat import frame
 from eqlat.frame import (
     aeqb_generate,
     build_frame,
@@ -91,6 +92,19 @@ def test_build_frame_accepts_larger_representation():
     f = build_frame(Triple(5, 7, 13, 9), rs=(7, 1))
     assert f.e1 == Vec3(-7, -8, 7)
     assert all(check_frame_vectors(f.triple, f.e1, f.e2).values())
+
+
+def test_build_frame_raises_on_failed_frame_check(monkeypatch):
+    # shifting e1 by 2 keeps the parity of e1 + perp but breaks e1's norm
+    real = frame._frame_entries
+
+    def shifted(*args):
+        (x, y, z), perp = real(*args)
+        return (x + 2, y, z), perp
+
+    monkeypatch.setattr(frame, "_frame_entries", shifted)
+    with pytest.raises(RuntimeError, match="e1_norm_2d2"):
+        build_frame(Triple(5, 7, 13, 9), rs=(3, 11))
 
 
 def test_roles_validation():

@@ -6,31 +6,10 @@ from eqlat import oracle
 from eqlat.ehrhart import ehrhart_poly, frame_system, side_divisors
 from eqlat.frame import enumerate_triples, triangle_vertices
 from eqlat.intmath import Vec3
-from eqlat.lattice import BasisPair, Triple, coordinates_in_basis, plane_basis
+from eqlat.lattice import Triple
 from eqlat.oracle import CountReport, Triangle, count, pick_check, scan_box
 
-
-def naive_scan(o_lo, o_hi, i_lo, i_hi, a_o, a_i, b_o, b_i, bound):
-    """Reference: classify every box cell, no interval shortcuts."""
-    total = on_op = on_pq = on_oq = verts = 0
-    for o in range(o_lo, o_hi + 1):
-        for i in range(i_lo, i_hi + 1):
-            lam = o * a_o + i * a_i
-            mu = o * b_o + i * b_i
-            if lam < 0 or mu < 0 or lam + mu > bound:
-                continue
-            total += 1
-            edges = (lam == 0) + (mu == 0) + (lam + mu == bound)
-            if edges >= 2:
-                verts += 1
-            elif edges == 1:
-                if mu == 0:
-                    on_op += 1
-                elif lam == 0:
-                    on_oq += 1
-                else:
-                    on_pq += 1
-    return total, on_op, on_pq, on_oq, verts
+from box_reference import classify_cells, naive_scan
 
 
 coeff = st.integers(min_value=-40, max_value=40)
@@ -161,14 +140,6 @@ def test_large_dilation():
     assert rep.per_side == (dil - 1, dil - 1, dil - 1)
 
 
-def test_inflate_stability():
-    t = Triple.from_abc(1, 1, 19)
-    p, q = worked_examples[1][1], worked_examples[1][2]
-    base = count(p, q, t, 2)
-    assert count(p, q, t, 2, inflate=2) == base
-    assert count(p, q, t, 2, inflate=5) == base
-
-
 small_triples = [t for d in range(1, 42, 2) for t in enumerate_triples(d)]
 
 
@@ -186,45 +157,9 @@ def test_triangle_setup_equals_fresh_count(t, m, n):
     tri = Triangle(p, q, t)
     poly = ehrhart_poly(t, m, n)
     for dil in range(1, 6):
-        for inflate in (0, 2):
-            rep = tri.count(dil, inflate=inflate)
-            assert rep == count(p, q, t, dil, inflate=inflate)
-            assert rep.total == poly.evaluate(dil)
-
-
-def reduced_basis(t):
-    """Lagrange-Gauss reduction of the plane basis, so boxes are not skewed."""
-    basis = plane_basis(t)
-    u, v = basis.u, basis.tau
-    if u.norm_sq() > v.norm_sq():
-        u, v = v, u
-    while True:
-        n = u.norm_sq()
-        v = v - u * ((2 * u.dot(v) + n) // (2 * n))
-        if v.norm_sq() >= n:
-            return BasisPair(u, v)
-        u, v = v, u
-
-
-def classify_cells(p, q, t, dil, inflate):
-    """Reference: classify every cell of the box of the dilated triangle.
-
-    Works in coordinates of a reduced basis, not the oracle's, and with 2x2
-    determinants, not its Gram numerators: X = lam*A + mu*B for the dilated
-    vertices A and B.
-    """
-    basis = reduced_basis(t)
-    a = [dil * x for x in coordinates_in_basis(p, basis, t)]
-    b = [dil * x for x in coordinates_in_basis(q, basis, t)]
-    det = a[0] * b[1] - a[1] * b[0]
-    s = 1 if det > 0 else -1
-    box = [(min(0, a[k], b[k]) - inflate, max(0, a[k], b[k]) + inflate) for k in (0, 1)]
-    # lam = s*det(X, B), mu = s*det(A, X), bound |det(A, B)|
-    total, on_op, on_pq, on_oq, verts = naive_scan(
-        *box[0], *box[1], s * b[1], -s * b[0], -s * a[1], s * a[0], abs(det)
-    )
-    assert verts == 3
-    return total, 3 + on_op + on_pq + on_oq, (on_op, on_pq, on_oq)
+        rep = tri.count(dil)
+        assert rep == count(p, q, t, dil)
+        assert rep.total == poly.evaluate(dil)
 
 
 @settings(max_examples=150, deadline=None)
@@ -237,12 +172,13 @@ def classify_cells(p, q, t, dil, inflate):
 )
 def test_triangle_counts_equal_cell_classification(t, m, n, dil, inflate):
     # the per-side split comes from gcds of basis coordinates; check it
-    # against a point-by-point classification of the box
+    # against a point-by-point classification of a box that may be wider
+    # than the oracle's
     if m == 0 and n == 0:
         return
     f, _ = frame_system(t)
     p, q = triangle_vertices(f, m, n)
-    rep = Triangle(p, q, t).count(dil, inflate=inflate)
+    rep = Triangle(p, q, t).count(dil)
     assert (rep.total, rep.boundary, rep.per_side) == classify_cells(p, q, t, dil, inflate)
 
 
@@ -257,14 +193,26 @@ def test_pick_check_catches_miscounted_scan(monkeypatch):
         count(p, q, t, 3)
 
 
+# every side of the box passes through a vertex, so clipping any side by one
+# row drops at least that vertex from the scan
+@pytest.mark.parametrize("side", range(4))
+def test_clipped_box_breaks_pick(side):
+    t = Triple.from_abc(5, 7, 13)
+    f, _ = frame_system(t)
+    tri = Triangle(*triangle_vertices(f, 2, 1), t)
+    box = list(tri._box)
+    box[side] += 1 if side % 2 == 0 else -1
+    tri._box = tuple(box)
+    with pytest.raises(RuntimeError, match="Pick"):
+        tri.count(3)
+
+
 def test_count_input_validation():
     t = Triple(1, 1, 1, 1)
     f, _ = frame_system(t)
     p, q = triangle_vertices(f, 1, 0)
     with pytest.raises(ValueError, match="positive"):
         count(p, q, t, 0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        count(p, q, t, 1, inflate=-1)
     with pytest.raises(ValueError, match="coincident"):
         count(p, p, t, 1)
     with pytest.raises(ValueError, match="coincident"):
@@ -278,8 +226,6 @@ def test_count_input_validation():
     tri = Triangle(p, q, t)
     with pytest.raises(ValueError, match="positive"):
         tri.count(0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        tri.count(1, inflate=-1)
 
 
 def test_skewed_basis_minimal_triangle():
