@@ -8,11 +8,20 @@ from multiprocessing import Pool
 
 from .ehrhart import (
     EhrhartPoly,
+    c0_doubled,
     ehrhart_from_frame,
     frame_system,
     side_divisors,
 )
-from .frame import AlphaBeta, Frame, Triple, enumerate_triples, triangle_vertices
+from .frame import (
+    AlphaBeta,
+    Frame,
+    Triple,
+    build_frame,
+    enumerate_triples,
+    solve_alpha_beta,
+    triangle_vertices,
+)
 from .lattice import BasisPair, plane_basis
 from .oracle import Triangle, pick_check
 
@@ -65,11 +74,7 @@ def table1_row(d: int) -> CatalogRow:
 
 def e_of_d(d: int) -> set[EhrhartPoly]:
     """Distinct minimal-triangle polynomials over all triples of radius d."""
-    out = set()
-    for t in enumerate_triples(d):
-        f, ab = frame_system(t)
-        out.add(ehrhart_from_frame(f, ab, 1, 0))
-    return out
+    return {EhrhartPoly(c0_doubled(d, 1, 0), c1) for c1 in table1_row(d).c1_set}
 
 
 def _check_pairs(mn_list: list[tuple[int, int]]) -> None:
@@ -133,8 +138,9 @@ def verify_triple(
 ) -> list[VerificationRecord]:
     """Run every (m, n, dilation) comparison for one triple."""
     _check_pairs(mn_list)
-    f, ab = frame_system(t)
+    f = build_frame(t)
     basis = plane_basis(t)
+    ab = solve_alpha_beta(f, basis)
     return [rec for m, n in mn_list for rec in verify_pair(f, ab, basis, m, n, dilations)]
 
 
@@ -150,6 +156,8 @@ def verify_campaign(
     workers: int = 1,
 ) -> list[VerificationRecord]:
     """Compare formulas against the oracle for every triple with d <= d_max."""
+    if d_max < 1 or t_max < 1:
+        raise ValueError("d_max and t_max must be positive integers")
     _check_pairs(mn_list)
     triples = [t for d in range(1, d_max + 1) for t in enumerate_triples(d)]
     dilations = range(1, t_max + 1)

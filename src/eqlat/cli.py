@@ -182,9 +182,11 @@ def cmd_ehrhart(args) -> tuple[dict, list, list[str]]:
 
 def cmd_count(args) -> tuple[dict, list, list[str]]:
     t = Triple.from_abc(args.a, args.b, args.c)
-    f, ab = ehrhart.frame_system(t)
+    f = frame.build_frame(t)
+    basis = plane_basis(t)
+    ab = frame.solve_alpha_beta(f, basis)
     p_vert, q_vert = frame.triangle_vertices(f, args.m, args.n)
-    (rec,) = catalog.verify_pair(f, ab, plane_basis(t), args.m, args.n, [args.t])
+    (rec,) = catalog.verify_pair(f, ab, basis, args.m, args.n, [args.t])
     interior = rec.oracle_count - rec.boundary_actual
     results = {
         "triple": list(t.abc()),

@@ -1,33 +1,31 @@
 """Brute-force lattice point counting, independent of the closed forms.
 
-A dilated triangle t*(O, P, Q) is counted by scanning the integer bounding
-box, in (u, tau) basis coordinates, of its three vertices.  Candidates X are
-classified through exact barycentric numerators built from Gram data of the
-vertices:
+A dilated triangle t*(O, P, Q) is counted in coordinates of the plane basis
+(u, tau), where its vertices are the integer points (0, 0), t*cp and t*cq.
+The scan covers their integer bounding box.  With s the sign of det(cp, cq)
+and A2 = |det(cp, cq)| > 0, a point X = (i, j) lies in the dilation iff
 
-    lam_num = (X.P)*g22 - (X.Q)*g12      (= lam * D)
-    mu_num  = (X.Q)*g11 - (X.P)*g12      (= mu * D)
-    D = g11*g22 - g12^2 > 0
+    lam = s*det(X, cq) >= 0,  mu = s*det(cp, X) >= 0,  lam + mu <= t*A2,
 
-X lies in the dilation iff lam_num >= 0, mu_num >= 0 and
-lam_num + mu_num <= t*D.  Within a box row each constraint is linear in the
-inner index, so the row's points form an exact interval and scan_box adds its
-length without visiting them.  The cost grows with the number of rows rather
-than of points; everything is arbitrary-precision integer arithmetic.
+lam/A2 and mu/A2 being X's barycentric weights on P and Q.  Within a box
+row each constraint is linear in the inner index, so the row's points form
+an exact interval and scan_box adds its length without visiting them.  The
+cost grows with the number of rows rather than of points; everything is
+arbitrary-precision integer arithmetic.
 
-Only the total is scanned.  The boundary comes from the vertices' basis
-coordinates cp and cq: a lattice segment whose ends differ by (di, dj) holds
-gcd(di, dj) + 1 lattice points, so side S of the dilation has t*g_S - 1
-points strictly inside it.  Pick's theorem in basis units,
+Only the total is scanned.  The boundary comes from cp and cq too: a
+lattice segment whose ends differ by (di, dj) holds gcd(di, dj) + 1 lattice
+points, so side S of the dilation has t*g_S - 1 points strictly inside it.
+Pick's theorem in basis units,
 
-    2*total = A2*t^2 + boundary + 2,   A2 = |det(cp, cq)|,
+    2*total = A2*t^2 + boundary + 2,
 
 then ties the scanned total to those counts; a miscounted row or a clipped
-box breaks it and raises RuntimeError.
+box breaks it and raises RuntimeError.  The same A2 bounds the scan.
 
 The triangle is validated once, when a Triangle is built: vertex membership,
-the Gram determinant, basis coordinates, side gcds, area and barycentric
-coefficients.  Each dilation then only sizes the box, scans and checks Pick,
+equal sides by their 3-D norms, exact basis coordinates and a nonzero
+det(cp, cq).  Each dilation then only sizes the box, scans and checks Pick,
 so a campaign over several dilations of one triangle pays for the setup once.
 count() is that path for a single dilation.
 """
@@ -124,27 +122,20 @@ class Triangle:
     """A validated equilateral lattice triangle (O, p, q), countable at any dilation.
 
     Construction checks the triangle and derives everything that does not
-    depend on the dilation: the Gram determinant, the side gcds and doubled
-    area in basis coordinates, the box of the undilated triangle and the
-    barycentric coefficients.
+    depend on the dilation from its basis coordinates cp and cq: the side
+    gcds, the doubled area, the box of the undilated triangle and the row
+    coefficients of lam and mu.
     """
 
-    __slots__ = ("_det", "_sides", "_area2", "_box", "_coeffs")
+    __slots__ = ("_sides", "_area2", "_box", "_coeffs")
 
     def __init__(self, p: Vec3, q: Vec3, t: Triple, basis: BasisPair | None = None) -> None:
         if p.is_zero() or q.is_zero() or p == q:
             raise ValueError("degenerate triangle: coincident vertices")
         if not (membership(p, t) and membership(q, t)):
             raise ValueError("not an equilateral lattice triangle: vertex off the plane")
-        g11 = p.dot(p)
-        g22 = q.dot(q)
-        g12 = p.dot(q)
-        if not (g11 == g22 == (p - q).norm_sq()):
+        if not (p.norm_sq() == q.norm_sq() == (p - q).norm_sq()):
             raise ValueError("not an equilateral lattice triangle: unequal sides")
-        det = g11 * g22 - g12 * g12
-        if det <= 0:
-            raise RuntimeError(f"Gram determinant {det} of an equilateral triangle is not positive")
-        self._det = det
 
         if basis is None:
             basis = plane_basis(t)
@@ -152,30 +143,24 @@ class Triangle:
         cq = coordinates_in_basis(q, basis, t)
         if cp is None or cq is None:
             raise RuntimeError("vertex not representable in the plane basis")
-        self._sides = (
-            math.gcd(*cp),
-            math.gcd(cq[0] - cp[0], cq[1] - cp[1]),
-            math.gcd(*cq),
-        )
-        self._area2 = abs(cp[0] * cq[1] - cp[1] * cq[0])
-        i_lo, i_hi = min(0, cp[0], cq[0]), max(0, cp[0], cq[0])
-        j_lo, j_hi = min(0, cp[1], cq[1]), max(0, cp[1], cq[1])
+        (pi, pj), (qi, qj) = cp, cq
+        det = pi * qj - pj * qi
+        if det == 0:
+            raise RuntimeError(f"vertices {cp} and {cq} of an equilateral triangle are collinear")
+        s = 1 if det > 0 else -1
+        self._sides = (math.gcd(pi, pj), math.gcd(qi - pi, qj - pj), math.gcd(qi, qj))
+        self._area2 = abs(det)
+        i_lo, i_hi = min(0, pi, qi), max(0, pi, qi)
+        j_lo, j_hi = min(0, pj, qj), max(0, pj, qj)
 
-        up, uq = basis.u.dot(p), basis.u.dot(q)
-        tp, tq = basis.tau.dot(p), basis.tau.dot(q)
-        c_lu = up * g22 - uq * g12
-        c_lt = tp * g22 - tq * g12
-        c_mu = uq * g11 - up * g12
-        c_mt = tq * g11 - tp * g12
-
-        # scan rows along the shorter box dimension; dilating the box never
-        # changes which one that is
+        # lam = s*(i*qj - j*qi) and mu = s*(j*pi - i*pj); scan rows along the
+        # shorter box dimension, which dilating the box never changes
         if j_hi - j_lo <= i_hi - i_lo:
             self._box = (j_lo, j_hi, i_lo, i_hi)
-            self._coeffs = (c_lt, c_lu, c_mt, c_mu)
+            self._coeffs = (-s * qi, s * qj, s * pi, -s * pj)
         else:
             self._box = (i_lo, i_hi, j_lo, j_hi)
-            self._coeffs = (c_lu, c_lt, c_mu, c_mt)
+            self._coeffs = (s * qj, -s * qi, -s * pj, s * pi)
 
     def count(self, dilation: int) -> CountReport:
         """Count lattice points of the triangle dilated by `dilation`."""
@@ -187,7 +172,7 @@ class Triangle:
             dilation * i_lo,
             dilation * i_hi,
             *self._coeffs,
-            dilation * self._det,
+            dilation * self._area2,
         )
         g_op, g_pq, g_oq = self._sides
         per_side = (dilation * g_op - 1, dilation * g_pq - 1, dilation * g_oq - 1)

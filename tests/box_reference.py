@@ -50,9 +50,9 @@ def classify_cells(p, q, t, dil, inflate):
 
     Classifies every cell of the triangle's box widened by `inflate` on each
     side, so a box that is too small for the triangle cannot hide here.
-    Works in coordinates of a reduced basis, not the oracle's, and with 2x2
-    determinants, not its Gram numerators: X = lam*A + mu*B for the dilated
-    vertices A and B.
+    Works in coordinates of a reduced basis, not the oracle's, and classifies
+    every cell on its own, not whole rows by their interval ends:
+    X = lam*A + mu*B for the dilated vertices A and B.
     """
     basis = reduced_basis(t)
     a = [dil * x for x in coordinates_in_basis(p, basis, t)]

@@ -80,6 +80,13 @@ def test_campaign_rejects_degenerate():
         verify_campaign(3, [(1, 0), (0, 0)], 1)
 
 
+@pytest.mark.parametrize("d_max,t_max", [(3, 0), (0, 1), (-1, 2)])
+def test_campaign_rejects_empty_ranges(d_max, t_max):
+    # a campaign that checks nothing must not pass
+    with pytest.raises(ValueError, match="positive"):
+        verify_campaign(d_max, [(1, 0)], t_max)
+
+
 def test_campaign_parallel_matches_serial():
     serial = verify_campaign(9, [(1, 0), (2, 1)], 2, workers=1)
     parallel = verify_campaign(9, [(1, 0), (2, 1)], 2, workers=2)

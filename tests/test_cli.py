@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from eqlat import catalog, cli, frame, oracle
+from eqlat import catalog, cli, frame, lattice, oracle
 from eqlat.cli import _parse_mn_list, main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -109,7 +109,7 @@ def test_count_matches_formula(capsys):
 
 
 def test_count_builds_one_frame_and_scans_once(capsys, monkeypatch):
-    calls = {"find_rs": 0, "scan_box": 0}
+    calls = {"find_rs": 0, "generators": 0, "scan_box": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -121,10 +121,13 @@ def test_count_builds_one_frame_and_scans_once(capsys, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(frame, "find_rs")
+    # plane_basis is imported by name everywhere, but reaches generators
+    # through its module global: one generators call is one plane basis
+    counted(lattice, "generators")
     counted(oracle, "scan_box")
     code, _, _ = run_cli(capsys, "count", "139", "2461", "2461", "2", "1", "3")
     assert code == 0
-    assert calls == {"find_rs": 1, "scan_box": 1}
+    assert calls == {"find_rs": 1, "generators": 1, "scan_box": 1}
 
 
 def test_table1(capsys):
@@ -225,6 +228,13 @@ def test_degenerate_mn_exit_1(capsys):
     assert code == 1 and "degenerate" in err
     code2, _, err2 = run_cli(capsys, "verify", "3", "(0,0)", "1")
     assert code2 == 1 and "degenerate" in err2
+
+
+@pytest.mark.parametrize("d_max,t_max", [("3", "0"), ("0", "1")])
+def test_verify_empty_range_exit_1(capsys, d_max, t_max):
+    code, doc, err = run_machine(capsys, "verify", d_max, "(1,0)", t_max)
+    assert code == 1 and "positive" in err
+    assert doc["results"] == {} and "positive" in doc["failures"][0]
 
 
 def test_bad_mn_list_exit_1(capsys):

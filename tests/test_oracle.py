@@ -182,6 +182,31 @@ def test_triangle_counts_equal_cell_classification(t, m, n, dil, inflate):
     assert (rep.total, rep.boundary, rep.per_side) == classify_cells(p, q, t, dil, inflate)
 
 
+# triangle_vertices gives det(cp, cq) > 0 and rows along j on almost every
+# plane, so both orientations and both row axes are checked here by name:
+# rows along j on (5, 7, 13), along i for (-1, 2) on (1, 11, 11)
+@pytest.mark.parametrize("abc,m,n", [((5, 7, 13), 2, 1), ((1, 11, 11), -1, 2)])
+@pytest.mark.parametrize("swap", [False, True], ids=["det>0", "det<0"])
+def test_orientations_and_row_axes(abc, m, n, swap):
+    t = Triple.from_abc(*abc)
+    f, _ = frame_system(t)
+    p, q = triangle_vertices(f, m, n)
+    if swap:
+        p, q = q, p
+    tri = Triangle(p, q, t)
+    for dil in (1, 2, 3):
+        rep = tri.count(dil)
+        assert (rep.total, rep.boundary, rep.per_side) == classify_cells(p, q, t, dil, 0)
+
+
+def test_collinear_basis_coordinates_raise(monkeypatch):
+    monkeypatch.setattr(oracle, "coordinates_in_basis", lambda p, basis, t: (1, 1))
+    t = Triple.from_abc(5, 7, 13)
+    f, _ = frame_system(t)
+    with pytest.raises(RuntimeError, match="collinear"):
+        Triangle(*triangle_vertices(f, 1, 0), t)
+
+
 def test_pick_check_catches_miscounted_scan(monkeypatch):
     # the check must hold under python -O, so it may not be an assert
     real = oracle.scan_box
