@@ -32,7 +32,6 @@ from .lattice import (
     generators,
     membership,
     plane_basis,
-    tau_vector,
 )
 from .oracle import CountReport, count, pick_check
 
@@ -72,7 +71,6 @@ __all__ = [
     "solve_alpha_beta",
     "sqrt_exact",
     "table1_row",
-    "tau_vector",
     "triangle_vertices",
     "verify_campaign",
     "__version__",

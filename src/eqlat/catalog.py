@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -144,27 +145,25 @@ def verify_triple(
     return [rec for m, n in mn_list for rec in verify_pair(f, ab, basis, m, n, dilations)]
 
 
-def _verify_task(args: tuple) -> list[VerificationRecord]:
-    t_abc, d, mn_list, dilations = args
-    return verify_triple(Triple(*t_abc, d), mn_list, dilations)
-
-
 def verify_campaign(
     d_max: int,
     mn_list: list[tuple[int, int]],
     t_max: int,
     workers: int = 1,
 ) -> list[VerificationRecord]:
-    """Compare formulas against the oracle for every triple with d <= d_max."""
+    """Compare formulas against the oracle for every triple with d <= d_max.
+
+    At most os.cpu_count() workers run: more only add start-up and contention.
+    """
     if d_max < 1 or t_max < 1:
         raise ValueError("d_max and t_max must be positive integers")
     _check_pairs(mn_list)
     triples = [t for d in range(1, d_max + 1) for t in enumerate_triples(d)]
     dilations = range(1, t_max + 1)
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
-        tasks = [(t.abc(), t.d, mn_list, dilations) for t in triples]
         with Pool(workers) as pool:
-            chunks = pool.map(_verify_task, tasks)
+            chunks = pool.starmap(verify_triple, [(t, mn_list, dilations) for t in triples])
     else:
         chunks = [verify_triple(t, mn_list, dilations) for t in triples]
     return [rec for chunk in chunks for rec in chunk]

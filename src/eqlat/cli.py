@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -119,8 +118,7 @@ def cmd_frame(args) -> tuple[dict, list, list[str]]:
     t = Triple.from_abc(args.a, args.b, args.c)
     f = frame.build_frame(t)
     gens = generators(t)
-    basis = plane_basis(t)
-    ab = frame.solve_alpha_beta(f, basis)
+    ab = frame.solve_alpha_beta(f, gens.basis())
     checks = frame.check_frame_vectors(t, f.e1, f.e2)
     diag = frame.rs_structure(f)
     results = {
@@ -140,7 +138,7 @@ def cmd_frame(args) -> tuple[dict, list, list[str]]:
         "w": _vec(gens.w),
         "bezout_k": gens.bezout_k,
         "bezout_l": gens.bezout_l,
-        "tau": _vec(basis.tau),
+        "tau": _vec(gens.tau),
         "alpha": ab.alpha,
         "beta": ab.beta,
         "tau_sign": ab.tau_sign,
@@ -231,6 +229,8 @@ def cmd_count(args) -> tuple[dict, list, list[str]]:
 
 
 def cmd_table1(args) -> tuple[dict, list, list[str]]:
+    if args.d_max < 1:
+        raise ValueError("d_max must be a positive integer")
     rows = []
     human = ["d | triples | |E(d)| | c1 set", "--+---------+--------+-------"]
     for d in range(1, args.d_max + 1):
@@ -267,9 +267,7 @@ def cmd_ed(args) -> tuple[dict, list, list[str]]:
 
 def cmd_verify(args) -> tuple[dict, list, list[str]]:
     mn_list = _parse_mn_list(args.mn_list)
-    # more workers than processors only add start-up and contention
-    workers = max(1, min(args.parallel, os.cpu_count() or 1))
-    records = catalog.verify_campaign(args.d_max, mn_list, args.t_max, workers=workers)
+    records = catalog.verify_campaign(args.d_max, mn_list, args.t_max, workers=args.parallel)
     passed, failed = catalog.campaign_summary(records)
 
     def rec_dict(r):

@@ -55,10 +55,12 @@ class Triple:
 
 @dataclass(frozen=True, slots=True)
 class GeneratorSet:
-    """The three standard generators of the plane lattice.
+    """The three standard generators of the plane lattice and its basis.
 
     u = (-b, a, 0)/gcd(a,b),  v = (-c, 0, a)/gcd(a,c),  w = (0, -c, b)/gcd(b,c),
     plus the Bezout pair (k, l) with k*a + l*b = gcd(a, b) and k minimal positive.
+    tau = gcd(a,c)*k*v + gcd(b,c)*l*w = (-k*c, -l*c, gcd(a,b)) is the second
+    basis vector, and u x tau = (a, b, c).
     """
 
     u: Vec3
@@ -67,6 +69,10 @@ class GeneratorSet:
     omega: int
     bezout_k: int
     bezout_l: int
+    tau: Vec3
+
+    def basis(self) -> BasisPair:
+        return BasisPair(u=self.u, tau=self.tau)
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,7 +84,13 @@ class BasisPair:
 
 
 def generators(t: Triple) -> GeneratorSet:
-    """Standard generators of the lattice of integer points on the plane."""
+    """Standard generators and the (u, tau) basis of the plane lattice.
+
+    The certificate u x tau = (a, b, c) is checked here: the cross product
+    of two lattice vectors is an integer multiple of the primitive normal,
+    and the multiple is the index of the sublattice they span, so index 1
+    proves that (u, tau) spans the whole plane lattice.
+    """
     a, b, c = t.a, t.b, t.c
     omega = math.gcd(a, b)
     u = Vec3(-b // omega, a // omega, 0)
@@ -91,27 +103,16 @@ def generators(t: Triple) -> GeneratorSet:
     step = b // omega
     k = pow(a // omega, -1, step) or step
     l = (omega - k * a) // b
-    if k * a + l * b != omega:
-        raise RuntimeError(f"Bezout certificate {k}*{a} + {l}*{b} != {omega}")
-    return GeneratorSet(u=u, v=v, w=w, omega=omega, bezout_k=k, bezout_l=l)
-
-
-def tau_vector(t: Triple, gens: GeneratorSet | None = None) -> Vec3:
-    """Second basis vector: tau = gcd(a,c)*k*v + gcd(b,c)*l*w.
-
-    Together with u this spans the whole plane lattice.
-    """
-    if gens is None:
-        gens = generators(t)
-    gac = math.gcd(t.a, t.c)
-    gbc = math.gcd(t.b, t.c)
-    return gens.v * (gac * gens.bezout_k) + gens.w * (gbc * gens.bezout_l)
+    tau = Vec3(-k * c, -l * c, omega)
+    cert = u.cross(tau)
+    if cert != t.normal():
+        raise RuntimeError(f"Bezout certificate u x tau = {cert.as_tuple()} != {t.abc()}")
+    return GeneratorSet(u=u, v=v, w=w, omega=omega, bezout_k=k, bezout_l=l, tau=tau)
 
 
 def plane_basis(t: Triple) -> BasisPair:
-    """Build the (u, tau) basis for the triple's plane lattice."""
-    gens = generators(t)
-    return BasisPair(u=gens.u, tau=tau_vector(t, gens))
+    """The (u, tau) basis of the triple's plane lattice, as certified by generators."""
+    return generators(t).basis()
 
 
 def membership(p: Vec3, t: Triple) -> bool:

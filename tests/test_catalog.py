@@ -1,8 +1,11 @@
+import itertools
 import json
+import os
 import pathlib
 
 import pytest
 
+from eqlat import catalog
 from eqlat.catalog import (
     campaign_summary,
     e_of_d,
@@ -94,3 +97,28 @@ def test_campaign_parallel_matches_serial():
         (r.triple, r.m, r.n, r.t, r.formula_count, r.oracle_count, r.passed) for r in recs
     ]
     assert strip(serial) == strip(parallel)
+
+
+def test_campaign_caps_workers_at_cpu_count(monkeypatch):
+    # a stand-in pool that records its size and runs the tasks in-process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, tasks):
+            return list(itertools.starmap(func, tasks))
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(catalog, "Pool", RecordingPool)
+    records = verify_campaign(3, [(1, 0)], 1, workers=64)
+    assert sizes == [2]
+    assert records == verify_campaign(3, [(1, 0)], 1)
+    assert sizes == [2]

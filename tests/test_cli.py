@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from eqlat import catalog, cli, frame, lattice, oracle
+from eqlat import catalog, cli, ehrhart, frame, lattice, oracle
 from eqlat.cli import _parse_mn_list, main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -130,6 +130,23 @@ def test_count_builds_one_frame_and_scans_once(capsys, monkeypatch):
     assert calls == {"find_rs": 1, "generators": 1, "scan_box": 1}
 
 
+def test_frame_builds_generators_once(capsys, monkeypatch):
+    calls = []
+    real = lattice.generators
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    # cli imports generators by name; plane_basis reaches it through the
+    # lattice module global
+    monkeypatch.setattr(lattice, "generators", counted)
+    monkeypatch.setattr(cli, "generators", counted)
+    code, _, _ = run_cli(capsys, "frame", "245", "613", "713")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_table1(capsys):
     code, doc, _ = run_machine(capsys, "table1", "9")
     assert code == 0
@@ -143,6 +160,14 @@ def test_table1(capsys):
     assert code2 == 0
     lines = out.strip().splitlines()
     assert len(lines) == 2 + 5  # header + one line per odd radius
+
+
+@pytest.mark.parametrize("d_max", ["0", "-3"])
+def test_table1_nonpositive_exit_1(capsys, d_max):
+    code, doc, err = run_machine(capsys, "table1", d_max)
+    assert code == 1 and "positive" in err
+    assert doc["results"] == {}
+    assert doc["failures"] == ["d_max must be a positive integer"]
 
 
 def test_ed(capsys):
@@ -184,6 +209,57 @@ def test_parallel_capped_at_cpu_count(capsys, monkeypatch):
     assert code == 0
     assert capped["inputs"]["parallel"] == "2"
     assert capped["results"] == serial["results"] and capped["failures"] == []
+
+
+@pytest.fixture
+def wrong_formula(monkeypatch):
+    """Shift every closed-form B by 2 so that each formula count mismatches."""
+    real = catalog.ehrhart_from_frame
+
+    def shifted(*args):
+        poly = real(*args)
+        return ehrhart.EhrhartPoly(poly.quad_num, poly.lin_num + 2)
+
+    monkeypatch.setattr(catalog, "ehrhart_from_frame", shifted)
+
+
+def test_count_mismatch_exit_1(capsys, wrong_formula):
+    argv = ("count", "5", "7", "13", "1", "0", "2")
+    code, doc, _ = run_machine(capsys, *argv)
+    assert code == 1
+    assert doc["results"]["match"] is False
+    assert doc["failures"] == [
+        {
+            "triple": ["5", "7", "13"],
+            "m": "1",
+            "n": "0",
+            "t": "2",
+            "formula_count": "26",
+            "oracle_count": "24",
+        }
+    ]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert "  match: NO, pick identity: ok" in out.splitlines()
+
+
+def test_verify_mismatch_exit_1(capsys, wrong_formula):
+    code, doc, _ = run_machine(capsys, "verify", "3", "(1,0)", "2")
+    assert code == 1
+    res = doc["results"]
+    assert (res["passed"], res["failed"]) == ("0", "4")
+    assert doc["failures"] == res["records"]
+    assert all(not rec["passed"] for rec in doc["failures"])
+    code, out, _ = run_cli(capsys, "verify", "3", "(1,0)", "2")
+    assert code == 1
+    # B + 2 in place of B adds t to every formula count
+    assert out.splitlines()[1:] == [
+        "  records: 4, passed: 0, failed: 4",
+        "  FAIL (1, 1, 1) (m,n)=(1,0) t=1: formula 4 oracle 3",
+        "  FAIL (1, 1, 1) (m,n)=(1,0) t=2: formula 8 oracle 6",
+        "  FAIL (1, 1, 5) (m,n)=(1,0) t=1: formula 6 oracle 5",
+        "  FAIL (1, 1, 5) (m,n)=(1,0) t=2: formula 14 oracle 12",
+    ]
 
 
 # Machine documents that must stay byte-identical; the count one scans a

@@ -224,3 +224,7 @@ def test_rs_structure():
     assert info == {"omega": 1, "chi": 1, "divides": True, "cofactors_coprime": True}
     info15 = rs_structure(build_frame(Triple(1, 7, 25, 15)))
     assert info15["chi"] == 5 and info15["divides"]
+    # 5^2 divides gcd(d, q) = 25, so the prime 5 is found inside the trial
+    # loop; this frame is one of the representations chi does not divide
+    info25 = rs_structure(build_frame(Triple(11, 23, 35, 25)))
+    assert info25 == {"omega": 1, "chi": 25, "divides": False, "cofactors_coprime": False}

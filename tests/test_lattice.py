@@ -1,4 +1,5 @@
 import builtins
+import math
 
 import pytest
 from hypothesis import given
@@ -13,7 +14,6 @@ from eqlat.lattice import (
     membership,
     plane_basis,
     solve_in_plane,
-    tau_vector,
 )
 
 
@@ -94,17 +94,25 @@ def triples_upto(d_max):
 def test_basis_spans_plane(t):
     basis = plane_basis(t)
     assert membership(basis.u, t) and membership(basis.tau, t)
-    # |u x tau|^2 = 3*d^2 means (u, tau) is a full basis, not a sublattice
-    assert basis.u.cross(basis.tau).norm_sq() == 3 * t.d**2
+    # u x tau equal to the primitive normal means (u, tau) is a full basis,
+    # not a sublattice
+    assert basis.u.cross(basis.tau) == t.normal()
     gens = generators(t)
     for vec in (gens.u, gens.v, gens.w):
         assert membership(vec, t)
         assert coordinates_in_basis(vec, basis, t) is not None
 
 
+def reference_tau(t):
+    """The paper's form tau = gcd(a,c)*k*v + gcd(b,c)*l*w."""
+    g = generators(t)
+    return g.v * (math.gcd(t.a, t.c) * g.bezout_k) + g.w * (math.gcd(t.b, t.c) * g.bezout_l)
+
+
 def test_tau_matches_plane_basis():
-    t = Triple(5, 7, 13, 9)
-    assert tau_vector(t) == plane_basis(t).tau
+    # the closed form (-k*c, -l*c, omega) against the paper's form
+    for t in triples_upto(101):
+        assert plane_basis(t).tau == generators(t).tau == reference_tau(t)
 
 
 def test_coordinates_roundtrip():

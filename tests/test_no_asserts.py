@@ -30,8 +30,20 @@ def package_imports(tree):
     return {(n.split(".") + ["__init__"])[1] for n in names if n.split(".")[0] == "eqlat"}
 
 
+def import_closure(module):
+    """eqlat modules that importing `module` loads, itself excluded."""
+    seen, todo = set(), [module]
+    while todo:
+        path = PACKAGE / f"{todo.pop()}.py"
+        for name in package_imports(ast.parse(path.read_text(), filename=str(path))):
+            if name not in seen:
+                seen.add(name)
+                todo.append(name)
+    return seen - {module}
+
+
 def test_oracle_imports_only_intmath_and_lattice():
-    # the oracle checks the closed forms, so it may not share their code
-    path = PACKAGE / "oracle.py"
-    imports = package_imports(ast.parse(path.read_text(), filename=str(path)))
-    assert imports and imports <= {"intmath", "lattice"}, f"oracle.py imports {sorted(imports)}"
+    # the oracle checks the closed forms, so it may not share their code,
+    # not even through a module it imports
+    imports = import_closure("oracle")
+    assert imports and imports <= {"intmath", "lattice"}, f"oracle.py loads {sorted(imports)}"
