@@ -157,6 +157,8 @@ def verify_campaign(
     """
     if d_max < 1 or t_max < 1:
         raise ValueError("d_max and t_max must be positive integers")
+    if workers < 1:
+        raise ValueError("workers must be a positive integer")
     _check_pairs(mn_list)
     triples = [t for d in range(1, d_max + 1) for t in enumerate_triples(d)]
     dilations = range(1, t_max + 1)

@@ -38,15 +38,6 @@ def _vec(v) -> list[int]:
     return list(v.as_tuple())
 
 
-def _add_format(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--format",
-        choices=["human", "machine"],
-        default="human",
-        help="output style (default: human)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="eqlat",
@@ -56,13 +47,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("triples", help="list canonical triples for a radius")
     sp.add_argument("d", type=int)
-    _add_format(sp)
 
     sp = sub.add_parser("frame", help="frame, basis and invariant checks for a plane")
     sp.add_argument("a", type=int)
     sp.add_argument("b", type=int)
     sp.add_argument("c", type=int)
-    _add_format(sp)
 
     sp = sub.add_parser("ehrhart", help="counting polynomial of the (m, n) triangle")
     sp.add_argument("a", type=int)
@@ -70,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("c", type=int)
     sp.add_argument("--m", type=int, default=1)
     sp.add_argument("--n", type=int, default=0)
-    _add_format(sp)
 
     sp = sub.add_parser("count", help="oracle count of a dilated triangle versus the formula")
     sp.add_argument("a", type=int)
@@ -79,23 +67,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("m", type=int)
     sp.add_argument("n", type=int)
     sp.add_argument("t", type=int)
-    _add_format(sp)
 
     sp = sub.add_parser("table1", help="catalog rows for all radii up to d_max")
     sp.add_argument("d_max", type=int)
-    _add_format(sp)
 
     sp = sub.add_parser("ed", help="distinct polynomials of minimal triangles for a radius")
     sp.add_argument("d", type=int)
-    _add_format(sp)
 
     sp = sub.add_parser("verify", help="formula-versus-oracle campaign")
     sp.add_argument("d_max", type=int)
     sp.add_argument("mn_list", type=str, help='pairs like "(1,0),(2,1)"')
     sp.add_argument("t_max", type=int)
     sp.add_argument("--parallel", type=int, default=1, metavar="N")
-    _add_format(sp)
 
+    # declared last, so --format stays each subcommand's last option in usage and -h
+    for sp in sub.choices.values():
+        sp.add_argument(
+            "--format",
+            choices=["human", "machine"],
+            default="human",
+            help="output style (default: human)",
+        )
     return p
 
 
@@ -154,8 +146,8 @@ def cmd_frame(args) -> tuple[dict, list, list[str]]:
     human.append(f"  alpha = {ab.alpha}, beta = {ab.beta}, tau_sign = {ab.tau_sign}")
     human.append("  checks: " + ", ".join(f"{k}={v}" for k, v in checks.items()))
     human.append("  rs structure: " + ", ".join(f"{k}={v}" for k, v in diag.items()))
-    failures = [f"invariant check failed: {k}" for k, v in checks.items() if not v]
-    return results, failures, human
+    # build_frame has already raised on any failed check
+    return results, [], human
 
 
 def cmd_ehrhart(args) -> tuple[dict, list, list[str]]:

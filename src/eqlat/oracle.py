@@ -2,16 +2,24 @@
 
 A dilated triangle t*(O, P, Q) is counted in coordinates of the plane basis
 (u, tau), where its vertices are the integer points (0, 0), t*cp and t*cq.
-The scan covers their integer bounding box.  With s the sign of det(cp, cq)
-and A2 = |det(cp, cq)| > 0, a point X = (i, j) lies in the dilation iff
+P and Q are taken counterclockwise: when det(cp, cq) < 0 they are swapped,
+which bounds the same points.  With A2 = det(cp, cq) > 0, a point X = (i, j)
+lies in the dilation iff
 
-    lam = s*det(X, cq) >= 0,  mu = s*det(cp, X) >= 0,  lam + mu <= t*A2,
+    lam = det(X, cq) >= 0,  mu = det(cp, X) >= 0,  lam + mu <= t*A2,
 
-lam/A2 and mu/A2 being X's barycentric weights on P and Q.  Within a box
-row each constraint is linear in the inner index, so the row's points form
-an exact interval and scan_box adds its length without visiting them.  The
+lam/A2 and mu/A2 being X's barycentric weights on P and Q.  The scan covers
+the integer bounding box in rows of fixed j, one per multiple of tau.
+Within a row each constraint is linear in i, so the row's points form an
+exact interval and scan_box adds its length without visiting them.  The
 cost grows with the number of rows rather than of points; everything is
 arbitrary-precision integer arithmetic.
+
+Rows of fixed j number at most 2/sqrt(3) ~ 1.155 times rows of fixed i.
+Row counts go as |u| and |tau| times the triangle's width across them; an
+equilateral triangle's widths differ by at most 2/sqrt(3), and |u| <= |tau|
+since |u|^2 = (a^2 + b^2)/omega^2 and |tau|^2 = c^2*(k^2 + l^2) + omega^2
+with k >= 1 (equal only when a = 1 and b = c).
 
 Only the total is scanned.  The boundary comes from cp and cq too: a
 lattice segment whose ends differ by (di, dj) holds gcd(di, dj) + 1 lattice
@@ -20,8 +28,9 @@ Pick's theorem in basis units,
 
     2*total = A2*t^2 + boundary + 2,
 
-then ties the scanned total to those counts; a miscounted row or a clipped
-box breaks it and raises RuntimeError.  The same A2 bounds the scan.
+which pick_check states, then ties the scanned total to those counts; a
+miscounted row or a clipped box breaks it and raises RuntimeError.  The
+same A2 bounds the scan.
 
 The triangle is validated once, when a Triangle is built: vertex membership,
 equal sides by their 3-D norms, exact basis coordinates and a nonzero
@@ -123,8 +132,9 @@ class Triangle:
 
     Construction checks the triangle and derives everything that does not
     depend on the dilation from its basis coordinates cp and cq: the side
-    gcds, the doubled area, the box of the undilated triangle and the row
-    coefficients of lam and mu.
+    gcds in the caller's (OP, PQ, OQ) order, then, with cp and cq in
+    counterclockwise order, the doubled area, the box of the undilated
+    triangle and the row coefficients of lam and mu along j.
     """
 
     __slots__ = ("_sides", "_area2", "_box", "_coeffs")
@@ -144,23 +154,18 @@ class Triangle:
         if cp is None or cq is None:
             raise RuntimeError("vertex not representable in the plane basis")
         (pi, pj), (qi, qj) = cp, cq
+        # the caller's (OP, PQ, OQ) order, which the swap below must not change
+        self._sides = (math.gcd(pi, pj), math.gcd(qi - pi, qj - pj), math.gcd(qi, qj))
         det = pi * qj - pj * qi
         if det == 0:
             raise RuntimeError(f"vertices {cp} and {cq} of an equilateral triangle are collinear")
-        s = 1 if det > 0 else -1
-        self._sides = (math.gcd(pi, pj), math.gcd(qi - pi, qj - pj), math.gcd(qi, qj))
-        self._area2 = abs(det)
-        i_lo, i_hi = min(0, pi, qi), max(0, pi, qi)
-        j_lo, j_hi = min(0, pj, qj), max(0, pj, qj)
-
-        # lam = s*(i*qj - j*qi) and mu = s*(j*pi - i*pj); scan rows along the
-        # shorter box dimension, which dilating the box never changes
-        if j_hi - j_lo <= i_hi - i_lo:
-            self._box = (j_lo, j_hi, i_lo, i_hi)
-            self._coeffs = (-s * qi, s * qj, s * pi, -s * pj)
-        else:
-            self._box = (i_lo, i_hi, j_lo, j_hi)
-            self._coeffs = (s * qj, -s * qi, -s * pj, s * pi)
+        if det < 0:
+            # O, Q, P is counterclockwise and bounds the same points
+            (pi, pj), (qi, qj), det = cq, cp, -det
+        self._area2 = det
+        # rows along j: lam = i*qj - j*qi and mu = j*pi - i*pj
+        self._box = (min(0, pj, qj), max(0, pj, qj), min(0, pi, qi), max(0, pi, qi))
+        self._coeffs = (-qi, qj, pi, -pj)
 
     def count(self, dilation: int) -> CountReport:
         """Count lattice points of the triangle dilated by `dilation`."""
@@ -177,17 +182,13 @@ class Triangle:
         g_op, g_pq, g_oq = self._sides
         per_side = (dilation * g_op - 1, dilation * g_pq - 1, dilation * g_oq - 1)
         boundary = 3 + sum(per_side)
-        if 2 * total != self._area2 * dilation * dilation + boundary + 2:
+        report = CountReport(total, boundary, total - boundary, per_side)
+        if not pick_check(report, self._area2, dilation):
             raise RuntimeError(
                 f"Pick's theorem fails: scanned {total} points, boundary {boundary}, "
                 f"doubled area {self._area2 * dilation * dilation}"
             )
-        return CountReport(
-            total=total,
-            boundary=boundary,
-            interior=total - boundary,
-            per_side=per_side,
-        )
+        return report
 
 
 def count(

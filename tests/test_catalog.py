@@ -90,6 +90,17 @@ def test_campaign_rejects_empty_ranges(d_max, t_max):
         verify_campaign(d_max, [(1, 0)], t_max)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_campaign_rejects_nonpositive_workers(monkeypatch, workers):
+    # rejected before any work, not run serially
+    def no_work(d):
+        raise AssertionError("triples enumerated")
+
+    monkeypatch.setattr(catalog, "enumerate_triples", no_work)
+    with pytest.raises(ValueError, match="workers must be a positive integer"):
+        verify_campaign(5, [(1, 0)], 1, workers=workers)
+
+
 def test_campaign_parallel_matches_serial():
     serial = verify_campaign(9, [(1, 0), (2, 1)], 2, workers=1)
     parallel = verify_campaign(9, [(1, 0), (2, 1)], 2, workers=2)

@@ -281,6 +281,17 @@ def test_machine_document_golden(capsys, argv, name):
     assert out == (DATA / name).read_text()
 
 
+# Every subcommand in both formats, and one failing call per format: argv,
+# stdout, stderr and exit code, byte for byte.
+cli_golden = json.loads((DATA / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", cli_golden, ids=lambda case: " ".join(case["argv"]))
+def test_cli_output_golden(capsys, case):
+    code, out, err = run_cli(capsys, *case["argv"])
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+
 def test_machine_output_is_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "verify", "5", "(1,0)", "2", "--format", "machine")
     _, out2, _ = run_cli(capsys, "verify", "5", "(1,0)", "2", "--format", "machine")
@@ -311,6 +322,15 @@ def test_verify_empty_range_exit_1(capsys, d_max, t_max):
     code, doc, err = run_machine(capsys, "verify", d_max, "(1,0)", t_max)
     assert code == 1 and "positive" in err
     assert doc["results"] == {} and "positive" in doc["failures"][0]
+
+
+@pytest.mark.parametrize("parallel", ["0", "-3"])
+def test_verify_nonpositive_parallel_exit_1(capsys, parallel):
+    code, doc, err = run_machine(capsys, "verify", "5", "(1,0)", "1", "--parallel", parallel)
+    assert code == 1 and "positive" in err
+    assert doc["inputs"]["parallel"] == parallel
+    assert doc["results"] == {}
+    assert doc["failures"] == ["workers must be a positive integer"]
 
 
 def test_bad_mn_list_exit_1(capsys):

@@ -115,6 +115,20 @@ def test_tau_matches_plane_basis():
         assert plane_basis(t).tau == generators(t).tau == reference_tau(t)
 
 
+def test_u_no_longer_than_tau():
+    # the oracle scans rows of fixed tau coordinate; |u| <= |tau| keeps them
+    # within 2/sqrt(3) of the rows of fixed u coordinate
+    equal = []
+    for t in triples_upto(401):
+        basis = plane_basis(t)
+        u2, tau2 = basis.u.norm_sq(), basis.tau.norm_sq()
+        assert u2 <= tau2, t.abc()
+        if u2 == tau2:
+            equal.append(t.abc())
+    assert (1, 11, 11) in equal
+    assert all(a == 1 and b == c for a, b, c in equal)
+
+
 def test_coordinates_roundtrip():
     t = Triple(5, 7, 13, 9)
     basis = plane_basis(t)

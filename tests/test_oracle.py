@@ -182,9 +182,9 @@ def test_triangle_counts_equal_cell_classification(t, m, n, dil, inflate):
     assert (rep.total, rep.boundary, rep.per_side) == classify_cells(p, q, t, dil, inflate)
 
 
-# triangle_vertices gives det(cp, cq) > 0 and rows along j on almost every
-# plane, so both orientations and both row axes are checked here by name:
-# rows along j on (5, 7, 13), along i for (-1, 2) on (1, 11, 11)
+# triangle_vertices gives det(cp, cq) > 0 on almost every plane, so both
+# orientations are checked here by name; (1, 11, 11) with (-1, 2) is a case
+# where rows of fixed i would be fewer, and rows of fixed j must count it too
 @pytest.mark.parametrize("abc,m,n", [((5, 7, 13), 2, 1), ((1, 11, 11), -1, 2)])
 @pytest.mark.parametrize("swap", [False, True], ids=["det>0", "det<0"])
 def test_orientations_and_row_axes(abc, m, n, swap):
