@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from multiprocessing import Pool
+from operator import attrgetter
 
 from .ehrhart import (
     EhrhartPoly,
@@ -56,6 +57,13 @@ class VerificationRecord:
     per_side_actual: tuple[int, int, int]
     pick_ok: bool
     passed: bool
+
+    def __reduce__(self):
+        # constructor arguments unpickle faster than the slots state protocol
+        return VerificationRecord, _record_args(self)
+
+
+_record_args = attrgetter(*(f.name for f in fields(VerificationRecord)))
 
 
 def table1_row(d: int) -> CatalogRow:
@@ -145,6 +153,14 @@ def verify_triple(
     return [rec for m, n in mn_list for rec in verify_pair(f, ab, basis, m, n, dilations)]
 
 
+def _verify_stripe(
+    triples: list[Triple],
+    mn_list: list[tuple[int, int]],
+    dilations: Sequence[int],
+) -> list[list[VerificationRecord]]:
+    return [verify_triple(t, mn_list, dilations) for t in triples]
+
+
 def verify_campaign(
     d_max: int,
     mn_list: list[tuple[int, int]],
@@ -153,7 +169,9 @@ def verify_campaign(
 ) -> list[VerificationRecord]:
     """Compare formulas against the oracle for every triple with d <= d_max.
 
-    At most os.cpu_count() workers run: more only add start-up and contention.
+    At most os.cpu_count() workers run, and no more than there are triples.
+    Each gets one task, the stripe triples[i::workers]: cost grows with d, so
+    interleaved stripes balance.  Records come back in serial order.
     """
     if d_max < 1 or t_max < 1:
         raise ValueError("d_max and t_max must be positive integers")
@@ -162,12 +180,16 @@ def verify_campaign(
     _check_pairs(mn_list)
     triples = [t for d in range(1, d_max + 1) for t in enumerate_triples(d)]
     dilations = range(1, t_max + 1)
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(workers, os.cpu_count() or 1, len(triples))
     if workers > 1:
+        tasks = [(triples[i::workers], mn_list, dilations) for i in range(workers)]
         with Pool(workers) as pool:
-            chunks = pool.starmap(verify_triple, [(t, mn_list, dilations) for t in triples])
+            stripes = pool.starmap(_verify_stripe, tasks)
+        chunks = [None] * len(triples)
+        for i, stripe in enumerate(stripes):
+            chunks[i::workers] = stripe
     else:
-        chunks = [verify_triple(t, mn_list, dilations) for t in triples]
+        chunks = _verify_stripe(triples, mn_list, dilations)
     return [rec for chunk in chunks for rec in chunk]
 
 

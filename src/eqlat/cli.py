@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on domain errors or verification failures, 2 on
 usage errors.  Machine output is one JSON document per invocation with every
-integer rendered as a decimal string.
+integer rendered as a decimal string by _emit, which writes records straight
+from their fields.
 """
 
 from __future__ import annotations
@@ -11,27 +12,56 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import fields
+from operator import attrgetter
 
 from . import catalog, ehrhart, frame
 from .lattice import Triple, generators, plane_basis
 
 
-class _Rendered(list):
-    """Items already in machine form, which _stringify passes through unchanged."""
+_encode_str = json.encoder.encode_basestring_ascii
+_RECORD_KEYS = sorted(f.name for f in fields(catalog.VerificationRecord))
+_RECORD_HEADS = [_encode_str(k) + ": " for k in _RECORD_KEYS]
+_record_fields = attrgetter(*_RECORD_KEYS)
 
 
-def _stringify(value):
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, _Rendered):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_stringify(v) for v in value]
+def _emit(value, pad: str, out: list[str]) -> None:
+    """Append value as json.dumps(sort_keys=True, indent=2) would write it
+    once every int is turned into its decimal string.
+
+    value is a dict with str keys, a list, a tuple or a VerificationRecord,
+    which renders as the dict of its fields.  Leaves are str, bool and int,
+    written in the loop without a call each: a campaign has thousands.
+    """
     if isinstance(value, dict):
-        return {k: _stringify(v) for k, v in value.items()}
-    return value
+        keys = sorted(value)
+        heads = [_encode_str(k) + ": " for k in keys]
+        items = [value[k] for k in keys]
+    elif isinstance(value, catalog.VerificationRecord):
+        heads, items = _RECORD_HEADS, _record_fields(value)
+    elif isinstance(value, (list, tuple)):
+        heads, items = None, value
+    else:
+        raise TypeError(f"cannot render {type(value).__name__} as machine output")
+    opening, closing = "[]" if heads is None else "{}"
+    if not items:
+        out.append(opening + closing)
+        return
+    inner = pad + "  "
+    sep = opening + "\n" + inner
+    for i, item in enumerate(items):
+        head = sep if heads is None else sep + heads[i]
+        if item is True or item is False:
+            out.append(head + ("true" if item else "false"))
+        elif isinstance(item, int):
+            out.append(f'{head}"{item}"')
+        elif isinstance(item, str):
+            out.append(head + _encode_str(item))
+        else:
+            out.append(head)
+            _emit(item, inner, out)
+        sep = ",\n" + inner
+    out.append("\n" + pad + closing)
 
 
 def _vec(v) -> list[int]:
@@ -262,36 +292,15 @@ def cmd_verify(args) -> tuple[dict, list, list[str]]:
     records = catalog.verify_campaign(args.d_max, mn_list, args.t_max, workers=args.parallel)
     passed, failed = catalog.campaign_summary(records)
 
-    def rec_dict(r):
-        # integers as decimal strings already: a campaign has thousands of
-        # records, and _stringify would walk every one of them again
-        return {
-            "triple": [str(x) for x in r.triple],
-            "d": str(r.d),
-            "m": str(r.m),
-            "n": str(r.n),
-            "t": str(r.t),
-            "quad_num": str(r.quad_num),
-            "lin_num": str(r.lin_num),
-            "formula_count": str(r.formula_count),
-            "oracle_count": str(r.oracle_count),
-            "boundary_expected": str(r.boundary_expected),
-            "boundary_actual": str(r.boundary_actual),
-            "per_side_expected": [str(x) for x in r.per_side_expected],
-            "per_side_actual": [str(x) for x in r.per_side_actual],
-            "pick_ok": r.pick_ok,
-            "passed": r.passed,
-        }
-
     results = {
         "d_max": args.d_max,
         "mn_list": [list(p) for p in mn_list],
         "t_max": args.t_max,
-        "records": _Rendered(rec_dict(r) for r in records),
+        "records": records,
         "passed": passed,
         "failed": failed,
     }
-    failures = [rec_dict(r) for r in records if not r.passed]
+    failures = [r for r in records if not r.passed]
     human = [
         f"campaign: d <= {args.d_max}, (m, n) in {mn_list}, t <= {args.t_max}",
         f"  records: {len(records)}, passed: {passed}, failed: {failed}",
@@ -334,7 +343,9 @@ def main(argv: list[str] | None = None) -> int:
         "failures": failures,
     }
     if args.format == "machine":
-        print(json.dumps(_stringify(doc), sort_keys=True, indent=2))
+        out: list[str] = []
+        _emit(doc, "", out)
+        print("".join(out))
     else:
         for line in human:
             print(line)

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import pathlib
+import pickle
 
 import pytest
 
@@ -101,13 +102,31 @@ def test_campaign_rejects_nonpositive_workers(monkeypatch, workers):
         verify_campaign(5, [(1, 0)], 1, workers=workers)
 
 
-def test_campaign_parallel_matches_serial():
-    serial = verify_campaign(9, [(1, 0), (2, 1)], 2, workers=1)
-    parallel = verify_campaign(9, [(1, 0), (2, 1)], 2, workers=2)
-    strip = lambda recs: [
-        (r.triple, r.m, r.n, r.t, r.formula_count, r.oracle_count, r.passed) for r in recs
-    ]
-    assert strip(serial) == strip(parallel)
+def test_campaign_parallel_matches_serial(monkeypatch):
+    # nine triples with d <= 11: the two stripes hold five and four, and the
+    # records must come back interleaved into serial order, whole
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = verify_campaign(11, [(1, 0), (2, 1)], 2, workers=1)
+    parallel = verify_campaign(11, [(1, 0), (2, 1)], 2, workers=2)
+    assert len({r.triple for r in serial}) == 9
+    assert parallel == serial
+
+
+def test_record_pickles_as_itself():
+    (rec,) = verify_triple(Triple.from_abc(5, 7, 13), [(2, 1)], [3])
+    back = pickle.loads(pickle.dumps(rec))
+    assert back == rec and type(back) is catalog.VerificationRecord
+
+
+def test_campaign_caps_workers_at_triple_count(monkeypatch):
+    # d <= 1 has one triple, so a second worker would get an empty stripe
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(catalog, "Pool", no_pool)
+    records = verify_campaign(1, [(1, 0)], 1, workers=2)
+    assert [(r.triple, r.passed) for r in records] == [((1, 1, 1), True)]
 
 
 def test_campaign_caps_workers_at_cpu_count(monkeypatch):
@@ -129,7 +148,8 @@ def test_campaign_caps_workers_at_cpu_count(monkeypatch):
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(catalog, "Pool", RecordingPool)
-    records = verify_campaign(3, [(1, 0)], 1, workers=64)
+    # three triples with d <= 5, so the cpu count is the binding cap
+    records = verify_campaign(5, [(1, 0)], 1, workers=64)
     assert sizes == [2]
-    assert records == verify_campaign(3, [(1, 0)], 1)
+    assert records == verify_campaign(5, [(1, 0)], 1)
     assert sizes == [2]

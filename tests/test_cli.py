@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -6,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from eqlat import catalog, cli, ehrhart, frame, lattice, oracle
 from eqlat.cli import _parse_mn_list, main
@@ -35,6 +38,66 @@ def no_bare_numbers(node):
     if isinstance(node, dict):
         return all(no_bare_numbers(v) for v in node.values())
     return isinstance(node, str)
+
+
+def reference_stringify(value):
+    """Every int as its decimal string, tuples as lists, records as field dicts."""
+    if isinstance(value, catalog.VerificationRecord):
+        value = dataclasses.asdict(value)
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [reference_stringify(v) for v in value]
+    if isinstance(value, dict):
+        return {k: reference_stringify(v) for k, v in value.items()}
+    return value
+
+
+def reference_render(doc):
+    return json.dumps(reference_stringify(doc), sort_keys=True, indent=2)
+
+
+def emitted(doc):
+    out = []
+    cli._emit(doc, "", out)
+    return "".join(out)
+
+
+json_scalars = st.one_of(st.booleans(), st.integers(), st.integers(-(2**70), 2**70), st.text())
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(json_documents)
+@example({"failures": ["Zähler ≠ Formel: \u00e9\ud800 \"quoted\"\n"], "results": {}})
+@example({"a": [], "b": {}, "c": [[], {}], "": [True, False]})
+@example([-1, 0, 2**64 + 1, -(2**64) - 1, 10**30])
+@example("")
+def test_emitter_matches_json(value):
+    # a machine document is a dict at the top
+    doc = {"results": value}
+    assert emitted(doc) == reference_render(doc)
+
+
+def test_emitter_renders_failing_record():
+    (rec,) = catalog.verify_triple(lattice.Triple.from_abc(5, 7, 13), [(2, 1)], [3])
+    bad = dataclasses.replace(rec, formula_count=rec.formula_count + 3, passed=False)
+    doc = {"results": {"records": [rec, bad], "failed": 1}, "failures": [bad]}
+    text = emitted(doc)
+    assert text == reference_render(doc)
+    assert json.loads(text)["failures"][0]["passed"] is False
+
+
+def test_emitter_rejects_other_types():
+    with pytest.raises(TypeError, match="float"):
+        emitted({"x": 1.5})
 
 
 def test_parse_mn_list():
@@ -189,11 +252,14 @@ def test_verify(capsys):
     assert no_bare_numbers(doc)
 
 
-def test_verify_parallel_same_output(capsys):
-    _, doc1, _ = run_machine(capsys, "verify", "7", "(1,0),(2,1)", "2")
-    _, doc2, _ = run_machine(capsys, "verify", "7", "(1,0),(2,1)", "2", "--parallel", "2")
-    del doc1["inputs"]["parallel"], doc2["inputs"]["parallel"]
-    assert doc1 == doc2
+def test_verify_parallel_same_output(capsys, monkeypatch):
+    # byte for byte, apart from the echoed input
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ("verify", "15", "(1,0),(2,1)", "3", "--format", "machine")
+    _, serial, _ = run_cli(capsys, *argv, "--parallel", "1")
+    _, parallel, _ = run_cli(capsys, *argv, "--parallel", "2")
+    assert '"parallel": "1"' in serial
+    assert parallel == serial.replace('"parallel": "1"', '"parallel": "2"')
 
 
 def test_parallel_capped_at_cpu_count(capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -38,6 +40,27 @@ def test_enumerate_small():
 def test_no_triples_for_even_d(d):
     # a^2+b^2+c^2 = 3*d^2 has no primitive solutions when d is even
     assert enumerate_triples(d) == []
+
+
+def reference_triples(d):
+    """Every canonical primitive triple of radius d by the O(d^2) search, even d too."""
+    target = 3 * d * d
+    out = []
+    for a in range(1, math.isqrt(target // 3) + 1):
+        for b in range(a, math.isqrt((target - a * a) // 2) + 1):
+            rest = target - a * a - b * b
+            c = math.isqrt(rest)
+            if c * c == rest and c >= b and math.gcd(a, b, c) == 1:
+                out.append((a, b, c))
+    return out
+
+
+def test_enumerate_matches_reference_search():
+    for d in range(1, 202):
+        expected = reference_triples(d)
+        assert [t.abc() for t in enumerate_triples(d)] == expected, f"d={d}"
+        if d % 2 == 0:
+            assert expected == [], f"d={d}"
 
 
 def test_enumerate_rejects_nonpositive():
