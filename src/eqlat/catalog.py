@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from multiprocessing import Pool
-from operator import attrgetter
+from typing import NamedTuple
 
 from .ehrhart import (
     EhrhartPoly,
@@ -38,9 +38,12 @@ class CatalogRow:
     c1_set: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationRecord:
-    """One formula-versus-oracle comparison."""
+class VerificationRecord(NamedTuple):
+    """One formula-versus-oracle comparison.
+
+    A named tuple: it pickles as its field values, which a campaign's parent
+    unpickles cheaply, and it also compares equal to the plain tuple of them.
+    """
 
     triple: tuple[int, int, int]
     d: int
@@ -57,13 +60,6 @@ class VerificationRecord:
     per_side_actual: tuple[int, int, int]
     pick_ok: bool
     passed: bool
-
-    def __reduce__(self):
-        # constructor arguments unpickle faster than the slots state protocol
-        return VerificationRecord, _record_args(self)
-
-
-_record_args = attrgetter(*(f.name for f in fields(VerificationRecord)))
 
 
 def table1_row(d: int) -> CatalogRow:
@@ -170,8 +166,11 @@ def verify_campaign(
     """Compare formulas against the oracle for every triple with d <= d_max.
 
     At most os.cpu_count() workers run, and no more than there are triples.
-    Each gets one task, the stripe triples[i::workers]: cost grows with d, so
-    interleaved stripes balance.  Records come back in serial order.
+    Each gets one stripe, triples[i::workers]: cost grows with d, so
+    interleaved stripes balance.  The caller runs stripe 0 itself while a
+    pool of workers - 1 processes, created for this call, runs the rest; an
+    exception from any stripe propagates after the pool is shut down.
+    Records come back in serial order.
     """
     if d_max < 1 or t_max < 1:
         raise ValueError("d_max and t_max must be positive integers")
@@ -182,9 +181,10 @@ def verify_campaign(
     dilations = range(1, t_max + 1)
     workers = min(workers, os.cpu_count() or 1, len(triples))
     if workers > 1:
-        tasks = [(triples[i::workers], mn_list, dilations) for i in range(workers)]
-        with Pool(workers) as pool:
-            stripes = pool.starmap(_verify_stripe, tasks)
+        tasks = [(triples[i::workers], mn_list, dilations) for i in range(1, workers)]
+        with Pool(workers - 1) as pool:
+            rest = pool.starmap_async(_verify_stripe, tasks)
+            stripes = [_verify_stripe(triples[::workers], mn_list, dilations), *rest.get()]
         chunks = [None] * len(triples)
         for i, stripe in enumerate(stripes):
             chunks[i::workers] = stripe

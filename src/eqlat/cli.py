@@ -2,17 +2,18 @@
 
 Exit codes: 0 on success, 1 on domain errors or verification failures, 2 on
 usage errors.  Machine output is one JSON document per invocation with every
-integer rendered as a decimal string by _emit, which writes records straight
-from their fields.
+integer rendered as a decimal string by _emit, which writes each
+VerificationRecord with one format template.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
-from dataclasses import fields
+import typing
 from operator import attrgetter
 
 from . import catalog, ehrhart, frame
@@ -20,25 +21,65 @@ from .lattice import Triple, generators, plane_basis
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_RECORD_KEYS = sorted(f.name for f in fields(catalog.VerificationRecord))
-_RECORD_HEADS = [_encode_str(k) + ": " for k in _RECORD_KEYS]
-_record_fields = attrgetter(*_RECORD_KEYS)
+_RECORD_KEYS = sorted(catalog.VerificationRecord._fields)
+_record_values = attrgetter(*_RECORD_KEYS)
+_JSON_BOOL = ("false", "true")
+
+
+@functools.cache
+def _record_types() -> tuple:
+    """Each record field's declared type, in _RECORD_KEYS order: int, bool or
+    a tuple of ints.  Resolved on first use, not at import."""
+    hints = typing.get_type_hints(catalog.VerificationRecord)
+    return tuple(hints[k] for k in _RECORD_KEYS)
+
+
+@functools.cache
+def _record_template(pad: str) -> str:
+    """One record's %-format at indent pad, laid out as _emit writes a dict:
+    a quoted %d per int, a bare %s per bool and a list of quoted %d per
+    tuple.  It holds no values, so it is safe to keep per indent."""
+    inner = pad + "  "
+    lines = []
+    for key, kind in zip(_RECORD_KEYS, _record_types()):
+        if kind is bool:
+            slot = "%s"
+        elif kind is int:
+            slot = '"%d"'
+        else:
+            items = [inner + '  "%d"'] * len(typing.get_args(kind))
+            slot = "[\n" + ",\n".join(items) + "\n" + inner + "]"
+        lines.append(inner + _encode_str(key) + ": " + slot)
+    return "{\n" + ",\n".join(lines) + "\n" + pad + "}"
+
+
+def _record_args(rec: catalog.VerificationRecord) -> tuple:
+    args = []
+    for kind, value in zip(_record_types(), _record_values(rec)):
+        if kind is int:
+            args.append(value)
+        elif kind is bool:
+            args.append(_JSON_BOOL[value])
+        else:
+            args += value
+    return tuple(args)
 
 
 def _emit(value, pad: str, out: list[str]) -> None:
     """Append value as json.dumps(sort_keys=True, indent=2) would write it
     once every int is turned into its decimal string.
 
-    value is a dict with str keys, a list, a tuple or a VerificationRecord,
-    which renders as the dict of its fields.  Leaves are str, bool and int,
-    written in the loop without a call each: a campaign has thousands.
+    value is a VerificationRecord, which renders as the dict of its fields
+    through one %-format, or a dict with str keys, a list or a tuple.  Other
+    leaves are str, bool and int, written in the loop without a call each.
     """
+    if isinstance(value, catalog.VerificationRecord):
+        out.append(_record_template(pad) % _record_args(value))
+        return
     if isinstance(value, dict):
         keys = sorted(value)
         heads = [_encode_str(k) + ": " for k in keys]
         items = [value[k] for k in keys]
-    elif isinstance(value, catalog.VerificationRecord):
-        heads, items = _RECORD_HEADS, _record_fields(value)
     elif isinstance(value, (list, tuple)):
         heads, items = None, value
     else:
@@ -52,7 +93,7 @@ def _emit(value, pad: str, out: list[str]) -> None:
     for i, item in enumerate(items):
         head = sep if heads is None else sep + heads[i]
         if item is True or item is False:
-            out.append(head + ("true" if item else "false"))
+            out.append(head + _JSON_BOOL[item])
         elif isinstance(item, int):
             out.append(f'{head}"{item}"')
         elif isinstance(item, str):

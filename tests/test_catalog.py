@@ -1,8 +1,10 @@
 import itertools
 import json
+import multiprocessing
 import os
 import pathlib
 import pickle
+import types
 
 import pytest
 
@@ -116,6 +118,33 @@ def test_record_pickles_as_itself():
     (rec,) = verify_triple(Triple.from_abc(5, 7, 13), [(2, 1)], [3])
     back = pickle.loads(pickle.dumps(rec))
     assert back == rec and type(back) is catalog.VerificationRecord
+    # a named tuple also equals the plain tuple of its fields
+    assert rec == tuple(rec)
+
+
+@pytest.mark.parametrize("stripe", [0, 1])
+def test_campaign_stripe_error_propagates(monkeypatch, stripe):
+    # stripe 0 runs in the caller, stripe 1 in the pool's one worker; the
+    # failing stand-in reaches that worker only through fork, whatever the
+    # platform's default start method
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(catalog, "Pool", multiprocessing.get_context("fork").Pool)
+    triples = [t for d in range(1, 12) for t in catalog.enumerate_triples(d)]
+    bad = triples[stripe]
+    real = catalog.verify_triple
+
+    def failing(t, *args):
+        if t == bad:
+            raise RuntimeError(f"stripe failed in process {os.getpid()}")
+        return real(t, *args)
+
+    monkeypatch.setattr(catalog, "verify_triple", failing)
+    with pytest.raises(RuntimeError, match="stripe failed in process") as info:
+        verify_campaign(11, [(1, 0)], 1, workers=2)
+    in_caller = str(info.value).endswith(f"process {os.getpid()}")
+    assert in_caller == (stripe == 0)
+    # the pool is shut down before the error leaves verify_campaign
+    assert multiprocessing.active_children() == []
 
 
 def test_campaign_caps_workers_at_triple_count(monkeypatch):
@@ -143,13 +172,15 @@ def test_campaign_caps_workers_at_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def starmap(self, func, tasks):
-            return list(itertools.starmap(func, tasks))
+        def starmap_async(self, func, tasks):
+            results = list(itertools.starmap(func, tasks))
+            return types.SimpleNamespace(get=lambda: results)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(catalog, "Pool", RecordingPool)
-    # three triples with d <= 5, so the cpu count is the binding cap
+    # three triples with d <= 5, so the cpu count is the binding cap: two
+    # stripes, one of them run by the caller
     records = verify_campaign(5, [(1, 0)], 1, workers=64)
-    assert sizes == [2]
+    assert sizes == [1]
     assert records == verify_campaign(5, [(1, 0)], 1)
-    assert sizes == [2]
+    assert sizes == [1]

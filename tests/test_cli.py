@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import pathlib
@@ -43,7 +42,7 @@ def no_bare_numbers(node):
 def reference_stringify(value):
     """Every int as its decimal string, tuples as lists, records as field dicts."""
     if isinstance(value, catalog.VerificationRecord):
-        value = dataclasses.asdict(value)
+        value = value._asdict()
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
@@ -88,11 +87,44 @@ def test_emitter_matches_json(value):
 
 def test_emitter_renders_failing_record():
     (rec,) = catalog.verify_triple(lattice.Triple.from_abc(5, 7, 13), [(2, 1)], [3])
-    bad = dataclasses.replace(rec, formula_count=rec.formula_count + 3, passed=False)
+    bad = rec._replace(formula_count=rec.formula_count + 3, passed=False)
     doc = {"results": {"records": [rec, bad], "failed": 1}, "failures": [bad]}
     text = emitted(doc)
     assert text == reference_render(doc)
     assert json.loads(text)["failures"][0]["passed"] is False
+
+
+wide_ints = st.one_of(st.integers(), st.integers(-(2**70), 2**70))
+int_triples = st.tuples(wide_ints, wide_ints, wide_ints)
+verification_records = st.builds(
+    catalog.VerificationRecord,
+    triple=int_triples,
+    d=wide_ints,
+    m=wide_ints,
+    n=wide_ints,
+    t=wide_ints,
+    quad_num=wide_ints,
+    lin_num=wide_ints,
+    formula_count=wide_ints,
+    oracle_count=wide_ints,
+    boundary_expected=wide_ints,
+    boundary_actual=wide_ints,
+    per_side_expected=int_triples,
+    per_side_actual=int_triples,
+    pick_ok=st.booleans(),
+    passed=st.booleans(),
+)
+
+
+@given(st.lists(verification_records, max_size=3), st.lists(verification_records, max_size=2))
+@example(
+    [catalog.VerificationRecord((1, -2, 2**64), *range(-5, 5), (0, -1, -(2**64) - 1), (7, 7, 7), True, False)],
+    [catalog.VerificationRecord((2**65, 3, 1), *range(10), (1, 2, 3), (3, 2, 1), False, True)],
+)
+def test_emitter_renders_records(records, failures):
+    # records sit at two depths in a verify document, so at two indents
+    doc = {"results": {"records": records, "failed": len(failures)}, "failures": failures}
+    assert emitted(doc) == reference_render(doc)
 
 
 def test_emitter_rejects_other_types():
