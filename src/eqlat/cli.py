@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 import typing
@@ -386,10 +387,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.format == "machine":
         out: list[str] = []
         _emit(doc, "", out)
-        print("".join(out))
+        out.append("\n")
     else:
-        for line in human:
-            print(line)
+        out = [line + "\n" for line in human]
+    try:
+        sys.stdout.write("".join(out))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # interpreter's flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 1 if failures else 0
 
 

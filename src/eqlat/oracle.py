@@ -6,14 +6,19 @@ P and Q are taken counterclockwise: when det(cp, cq) < 0 they are swapped,
 which bounds the same points.  With A2 = det(cp, cq) > 0, a point X = (i, j)
 lies in the dilation iff
 
-    lam = det(X, cq) >= 0,  mu = det(cp, X) >= 0,  lam + mu <= t*A2,
+    lam = det(X, cq) >= 0,  mu = det(cp, X) >= 0,  t*A2 - lam - mu >= 0,
 
-lam/A2 and mu/A2 being X's barycentric weights on P and Q.  The scan covers
-the integer bounding box in rows of fixed j, one per multiple of tau.
-Within a row each constraint is linear in i, so the row's points form an
-exact interval and scan_box adds its length without visiting them.  The
-cost grows with the number of rows rather than of points; everything is
-arbitrary-precision integer arithmetic.
+lam/A2 and mu/A2 being X's barycentric weights on P and Q.  Each constraint
+has the form a*i + b*j + c*t >= 0, and the scan runs over rows of fixed j,
+one per multiple of tau, from the lowest vertex's row to the highest.  In a
+row an edge with a > 0 gives the lower end of i, a ceiling, and one with
+a < 0 an upper end, a floor; scan_rows adds min(upper ends) - lower end + 1
+per row without visiting the points.  The three a sum to 0.  When two are
+positive the triangle is mirrored by i -> -i, which keeps every row, so one
+edge gives the lower end.  An edge with a = 0 lies along a row, where the
+row range already ends, and is dropped.  The cost grows with the number of
+rows rather than of points; everything is arbitrary-precision integer
+arithmetic.
 
 Rows of fixed j number at most 2/sqrt(3) ~ 1.155 times rows of fixed i.
 Row counts go as |u| and |tau| times the triangle's width across them; an
@@ -29,13 +34,13 @@ Pick's theorem in basis units,
     2*total = A2*t^2 + boundary + 2,
 
 which pick_check states, then ties the scanned total to those counts; a
-miscounted row or a clipped box breaks it and raises RuntimeError.  The
-same A2 bounds the scan.
+miscounted row or a clipped row range breaks it and raises RuntimeError.
 
 The triangle is validated once, when a Triangle is built: vertex membership,
 equal sides by their 3-D norms, exact basis coordinates and a nonzero
-det(cp, cq).  Each dilation then only sizes the box, scans and checks Pick,
-so a campaign over several dilations of one triangle pays for the setup once.
+det(cp, cq); row_bounds then picks its bounding edges.  Each dilation only
+scales the row range and the edge constants, scans and checks Pick, so a
+campaign over several dilations of one triangle pays for the setup once.
 count() is that path for a single dilation.
 """
 
@@ -46,6 +51,10 @@ from dataclasses import dataclass
 
 from .intmath import Vec3
 from .lattice import BasisPair, Triple, coordinates_in_basis, membership, plane_basis
+
+# an edge a*i + b*j + c*t >= 0 with a != 0, kept as (|a|, b, c): in row j of
+# the dilation by t it gives i >= -(b*j + c*t)/a if a > 0, else i <= (b*j + c*t)/|a|
+Bound = tuple[int, int, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,63 +71,50 @@ class CountReport:
     per_side: tuple[int, int, int]
 
 
-def scan_box(
-    o_lo: int,
-    o_hi: int,
-    i_lo: int,
-    i_hi: int,
-    a_o: int,
-    a_i: int,
-    b_o: int,
-    b_i: int,
-    bound: int,
-) -> int:
-    """Number of box points (o, i) with lam >= 0, mu >= 0, lam + mu <= bound.
+def row_bounds(
+    cp: tuple[int, int], cq: tuple[int, int]
+) -> tuple[int, tuple[int, int], tuple[Bound, Bound, Bound]]:
+    """Doubled area, row range and bounding edges of the triangle O, cp, cq.
 
-    lam = o*a_o + i*a_i and mu = o*b_o + i*b_i.  Each row o is cut to the
-    exact interval [lo, hi] of inner indices meeting all three constraints.
+    The edges come as (lower, upper, upper), after the triangle is taken
+    counterclockwise and, if need be, mirrored.  The row range is that of
+    the undilated triangle.
     """
+    (pi, pj), (qi, qj) = cp, cq
+    det = pi * qj - pj * qi
+    if det == 0:
+        raise RuntimeError(f"vertices {cp} and {cq} of an equilateral triangle are collinear")
+    if det < 0:
+        # O, Q, P is counterclockwise and bounds the same points
+        (pi, pj), (qi, qj), det = cq, cp, -det
+    edges = [(qj, -qi, 0), (-pj, pi, 0), (pj - qj, qi - pi, det)]  # lam, mu, t*A2 - lam - mu
+    if sum(a > 0 for a, _, _ in edges) == 2:
+        # mirror i -> -i, so that one edge bounds every row from below
+        edges = [(-a, b, c) for a, b, c in edges]
+    lower = next(e for e in edges if e[0] > 0)
+    # an edge with a == 0 lies along a row and drops out here
+    upper = [(-a, b, c) for a, b, c in edges if a < 0]
+    return det, (min(0, pj, qj), max(0, pj, qj)), (lower, upper[0], upper[-1])
+
+
+def scan_rows(rows: tuple[int, int], bounds: tuple[Bound, Bound, Bound], dilation: int) -> int:
+    """Number of lattice points in the rows of the triangle dilated by `dilation`.
+
+    rows and bounds are row_bounds' for the undilated triangle.  Every row
+    meets the triangle, so its interval of real i is not empty and the count
+    of integers in it, min(upper ends) - lower end + 1, is never negative.
+    """
+    (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = bounds
+    c0, c1, c2 = c0 * dilation, c1 * dilation, c2 * dilation
     total = 0
-    c_s = a_i + b_i
-    for o in range(o_lo, o_hi + 1):
-        ka = o * a_o
-        kb = o * b_o
-        rest = bound - ka - kb
-        # -(x // y) is the ceiling of -x / y for y > 0
-        lo = i_lo
-        hi = i_hi
-        if a_i > 0:
-            x = -(ka // a_i)
-            if x > lo:
-                lo = x
-        elif a_i < 0:
-            x = ka // -a_i
-            if x < hi:
-                hi = x
-        elif ka < 0:
-            continue
-        if b_i > 0:
-            x = -(kb // b_i)
-            if x > lo:
-                lo = x
-        elif b_i < 0:
-            x = kb // -b_i
-            if x < hi:
-                hi = x
-        elif kb < 0:
-            continue
-        if c_s > 0:
-            x = rest // c_s
-            if x < hi:
-                hi = x
-        elif c_s < 0:
-            x = -(rest // -c_s)
-            if x > lo:
-                lo = x
-        elif rest < 0:
-            continue
-        if lo <= hi:
-            total += hi - lo + 1
+    for j in range(dilation * rows[0], dilation * rows[1] + 1):
+        # -(x // a) is the ceiling of -x / a for a > 0
+        lo = -((b0 * j + c0) // a0)
+        hi = (b1 * j + c1) // a1
+        x = (b2 * j + c2) // a2
+        if x < hi:
+            hi = x
+        total += hi - lo + 1
     return total
 
 
@@ -132,12 +128,11 @@ class Triangle:
 
     Construction checks the triangle and derives everything that does not
     depend on the dilation from its basis coordinates cp and cq: the side
-    gcds in the caller's (OP, PQ, OQ) order, then, with cp and cq in
-    counterclockwise order, the doubled area, the box of the undilated
-    triangle and the row coefficients of lam and mu along j.
+    gcds in the caller's (OP, PQ, OQ) order, then, through row_bounds, the
+    doubled area, the row range and the three edges that bound each row.
     """
 
-    __slots__ = ("_sides", "_area2", "_box", "_coeffs")
+    __slots__ = ("_sides", "_area2", "_rows", "_bounds")
 
     def __init__(self, p: Vec3, q: Vec3, t: Triple, basis: BasisPair | None = None) -> None:
         if p.is_zero() or q.is_zero() or p == q:
@@ -154,31 +149,13 @@ class Triangle:
         if cp is None or cq is None:
             raise RuntimeError("vertex not representable in the plane basis")
         (pi, pj), (qi, qj) = cp, cq
-        # the caller's (OP, PQ, OQ) order, which the swap below must not change
         self._sides = (math.gcd(pi, pj), math.gcd(qi - pi, qj - pj), math.gcd(qi, qj))
-        det = pi * qj - pj * qi
-        if det == 0:
-            raise RuntimeError(f"vertices {cp} and {cq} of an equilateral triangle are collinear")
-        if det < 0:
-            # O, Q, P is counterclockwise and bounds the same points
-            (pi, pj), (qi, qj), det = cq, cp, -det
-        self._area2 = det
-        # rows along j: lam = i*qj - j*qi and mu = j*pi - i*pj
-        self._box = (min(0, pj, qj), max(0, pj, qj), min(0, pi, qi), max(0, pi, qi))
-        self._coeffs = (-qi, qj, pi, -pj)
+        self._area2, self._rows, self._bounds = row_bounds(cp, cq)
 
     def count(self, dilation: int) -> CountReport:
         """Count lattice points of the triangle dilated by `dilation`."""
         _check_dilation(dilation)
-        o_lo, o_hi, i_lo, i_hi = self._box
-        total = scan_box(
-            dilation * o_lo,
-            dilation * o_hi,
-            dilation * i_lo,
-            dilation * i_hi,
-            *self._coeffs,
-            dilation * self._area2,
-        )
+        total = scan_rows(self._rows, self._bounds, dilation)
         g_op, g_pq, g_oq = self._sides
         per_side = (dilation * g_op - 1, dilation * g_pq - 1, dilation * g_oq - 1)
         boundary = 3 + sum(per_side)

@@ -45,22 +45,18 @@ def reduced_basis(t):
         u, v = v, u
 
 
-def classify_cells(p, q, t, dil, inflate):
-    """(total, boundary, per_side) of the dilated triangle O, p, q.
+def classify_triangle(a, b, inflate=0):
+    """(total, boundary, per_side) of the triangle O, a, b with integer vertices.
 
     Classifies every cell of the triangle's box widened by `inflate` on each
-    side, so a box that is too small for the triangle cannot hide here.
-    Works in coordinates of a reduced basis, not the oracle's, and classifies
-    every cell on its own, not whole rows by their interval ends:
-    X = lam*A + mu*B for the dilated vertices A and B.
+    side, so a box that is too small for the triangle cannot hide here, and
+    classifies every cell on its own, not whole rows by their interval ends:
+    X = lam*a + mu*b.  a and b may come in either orientation.
     """
-    basis = reduced_basis(t)
-    a = [dil * x for x in coordinates_in_basis(p, basis, t)]
-    b = [dil * x for x in coordinates_in_basis(q, basis, t)]
     det = a[0] * b[1] - a[1] * b[0]
     s = 1 if det > 0 else -1
     box = [(min(0, a[k], b[k]) - inflate, max(0, a[k], b[k]) + inflate) for k in (0, 1)]
-    # lam = s*det(X, B), mu = s*det(A, X), bound |det(A, B)|
+    # lam = s*det(X, b), mu = s*det(a, X), bound |det(a, b)|
     total, on_op, on_pq, on_oq, verts = naive_scan(
         *box[0], *box[1], s * b[1], -s * b[0], -s * a[1], s * a[0], abs(det)
     )
@@ -69,3 +65,14 @@ def classify_cells(p, q, t, dil, inflate):
     if verts != 3:
         raise AssertionError(f"classified {verts} vertices, expected 3")
     return total, 3 + on_op + on_pq + on_oq, (on_op, on_pq, on_oq)
+
+
+def classify_cells(p, q, t, dil, inflate):
+    """classify_triangle of the dilated triangle O, p, q.
+
+    Works in coordinates of a reduced basis, not the oracle's.
+    """
+    basis = reduced_basis(t)
+    a = [dil * x for x in coordinates_in_basis(p, basis, t)]
+    b = [dil * x for x in coordinates_in_basis(q, basis, t)]
+    return classify_triangle(a, b, inflate)

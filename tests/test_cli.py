@@ -204,7 +204,7 @@ def test_count_matches_formula(capsys):
 
 
 def test_count_builds_one_frame_and_scans_once(capsys, monkeypatch):
-    calls = {"find_rs": 0, "generators": 0, "scan_box": 0}
+    calls = {"find_rs": 0, "generators": 0, "scan_rows": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -219,10 +219,10 @@ def test_count_builds_one_frame_and_scans_once(capsys, monkeypatch):
     # plane_basis is imported by name everywhere, but reaches generators
     # through its module global: one generators call is one plane basis
     counted(lattice, "generators")
-    counted(oracle, "scan_box")
+    counted(oracle, "scan_rows")
     code, _, _ = run_cli(capsys, "count", "139", "2461", "2461", "2", "1", "3")
     assert code == 0
-    assert calls == {"find_rs": 1, "generators": 1, "scan_box": 1}
+    assert calls == {"find_rs": 1, "generators": 1, "scan_rows": 1}
 
 
 def test_frame_builds_generators_once(capsys, monkeypatch):
@@ -463,19 +463,44 @@ def test_usage_errors_exit_2(capsys):
     assert exc4.value.code == 2
 
 
-def test_module_entry_point():
-    # the child process finds the package where this process imported it
+def child_env():
+    """The environment of a child process that finds the package where this
+    process imported it."""
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "eqlat.cli", "triples", "3"],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert "1 1 5" in proc.stdout
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+def test_closed_stdout_exits_1_without_traceback(fmt):
+    # the read end is closed before the child starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "eqlat.cli", "triples", "15", "--format", fmt],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.skipif(shutil.which("eqlat") is None, reason="console script not on PATH")

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eqlat import oracle
@@ -7,75 +7,92 @@ from eqlat.ehrhart import ehrhart_poly, frame_system, side_divisors
 from eqlat.frame import enumerate_triples, triangle_vertices
 from eqlat.intmath import Vec3
 from eqlat.lattice import Triple
-from eqlat.oracle import CountReport, Triangle, count, pick_check, scan_box
+from eqlat.oracle import CountReport, Triangle, count, pick_check, row_bounds, scan_rows
 
-from box_reference import classify_cells, naive_scan
-
-
-coeff = st.integers(min_value=-40, max_value=40)
-edge = st.integers(min_value=-8, max_value=8)
+from box_reference import classify_cells, classify_triangle
 
 
-# coefficients up to 40 leave most rows without an integral zero at an
-# interval end, so rows with and without exact ends both occur often
+coord = st.integers(min_value=-9, max_value=9)
+point = st.tuples(coord, coord)
+dilation = st.integers(min_value=1, max_value=4)
+big = st.integers(min_value=2**64, max_value=2**200)
+shear = big | big.map(lambda k: -k)
+
+
+def det(cp, cq):
+    return cp[0] * cq[1] - cp[1] * cq[0]
+
+
+def scan_triangle(cp, cq, dil):
+    """The oracle's total for the triangle O, cp, cq of basis coordinates."""
+    _, rows, bounds = row_bounds(cp, cq)
+    return scan_rows(rows, bounds, dil)
+
+
+def cells_total(cp, cq, dil, inflate=0):
+    return classify_triangle([dil * x for x in cp], [dil * x for x in cq], inflate)[0]
+
+
+# any nondegenerate lattice triangle with a vertex at O, either orientation;
+# small coordinates make edges along rows and vertices sharing a row common
 @settings(max_examples=1000)
-@given(edge, edge, edge, edge, coeff, coeff, coeff, coeff, st.integers(min_value=-20, max_value=120))
-def test_row_scan_equals_naive(o_lo, o_span, i_lo, i_span, a_o, a_i, b_o, b_i, bound):
-    o_hi = o_lo + abs(o_span)
-    i_hi = i_lo + abs(i_span)
-    args = (o_lo, o_hi, i_lo, i_hi, a_o, a_i, b_o, b_i, bound)
-    assert scan_box(*args) == naive_scan(*args)[0]
+@given(point, point, dilation)
+def test_row_scan_equals_naive(cp, cq, dil):
+    assume(det(cp, cq) != 0)
+    assert scan_triangle(cp, cq, dil) == cells_total(cp, cq, dil)
 
 
-# Rows lying wholly on one edge line, where a constraint is zero along the
-# whole row rather than at one interval end; per_side index of that edge.
+# Triangles with an edge along a row, whose constraint row_bounds drops: OQ
+# (qj = 0), OP (pj = 0) and PQ (pj = qj), all with det(cp, cq) > 0.
 edge_rows = [
-    pytest.param((-2, 13, -4, 8, 1, 0, -1, 2, 12), 2, id="lam-row-a_i-0"),
-    pytest.param((-2, 13, -4, 8, -1, 2, 1, 0, 12), 0, id="mu-row-b_i-0"),
-    pytest.param((-2, 8, -8, 8, 1, 1, 1, -1, 12), 1, id="pq-row-c_s-0"),
+    pytest.param((2, -3), (5, 0), id="lam-row-a_i-0"),
+    pytest.param((3, 0), (1, 4), id="mu-row-b_i-0"),
+    pytest.param((1, 3), (-4, 3), id="pq-row-c_s-0"),
 ]
 
 
-@pytest.mark.parametrize("args,side", edge_rows)
-def test_row_scan_edge_rows(args, side):
-    expected = naive_scan(*args)
-    assert expected[4] == 3 and expected[1 + side] > 1
-    assert scan_box(*args) == expected[0]
+@pytest.mark.parametrize("cp,cq", edge_rows)
+def test_row_scan_edge_rows(cp, cq):
+    for a, b in ((cp, cq), (cq, cp)):
+        _, _, (_, upper1, upper2) = row_bounds(a, b)
+        assert upper1 == upper2
+        for dil in (1, 2, 3):
+            assert scan_triangle(a, b, dil) == cells_total(a, b, dil)
 
 
-# Triangles O = (0, 0), P = (3, 1), Q = (1, 4) in box coordinates, so
-# (lam, mu) = (4o - i, 3i - o) with bound 11, in several orientations.  Each
-# vertex row has two zeros meeting at one index, and no row lies on an edge.
+# Triangles with no edge along a row, so both end rows and the middle
+# vertex's row meet an edge pair at one point.  With det(cp, cq) > 0 the i
+# coefficients of (lam, mu, t*A2 - lam - mu) are (qj, -pj, pj - qj); with two
+# of them positive, row_bounds mirrors the triangle.  The other cases are the
+# first triangle under i <-> j, under i -> -i, and dilated by 2 with the
+# reference's box widened.
 vertex_rows = [
-    pytest.param((0, 3, 0, 4, 4, -1, -1, 3, 11), id="vertex-rows"),
-    pytest.param((0, 4, 0, 3, -1, 4, 3, -1, 11), id="vertex-rows-transposed"),
-    pytest.param((0, 3, -4, 0, 4, 1, -1, -3, 11), id="vertex-rows-mirrored"),
-    pytest.param((-2, 8, -2, 10, 4, -1, -1, 3, 22), id="vertex-rows-dilated-inflated"),
+    pytest.param((3, 1), (1, 4), 1, 0, id="vertex-rows"),
+    pytest.param((4, 1), (1, 3), 1, 0, id="vertex-rows-transposed"),
+    pytest.param((-1, 4), (-3, 1), 2, 0, id="vertex-rows-mirrored"),
+    pytest.param((6, 2), (2, 8), 1, 2, id="vertex-rows-dilated-inflated"),
 ]
 
 
-@pytest.mark.parametrize("args", vertex_rows)
-def test_row_scan_vertex_rows(args):
-    expected = naive_scan(*args)
-    assert expected[4] == 3
-    a_i, b_i = args[5], args[7]
-    assert a_i and b_i and a_i + b_i
-    assert scan_box(*args) == expected[0]
+@pytest.mark.parametrize("cp,cq,positive,inflate", vertex_rows)
+def test_row_scan_vertex_rows(cp, cq, positive, inflate):
+    pj, qj = cp[1], cq[1]
+    assert det(cp, cq) > 0 and 0 not in (pj, qj, pj - qj)
+    assert sum(a > 0 for a in (qj, -pj, pj - qj)) == positive
+    for a, b in ((cp, cq), (cq, cp)):
+        for dil in (1, 2, 3):
+            assert scan_triangle(a, b, dil) == cells_total(a, b, dil, inflate)
 
 
-# Scaling every coefficient and the bound by K >= 2**64 scales lam, mu and
-# lam + mu - bound by K, so the counts stay those of the unscaled box while
-# every product and quotient in the scan exceeds 64 bits.
+# The shear (i, j) -> (i + K*j, j) maps Z^2 onto itself and keeps every row,
+# so it keeps the count, while every product and quotient in the scan
+# exceeds 64 bits.
 @settings(max_examples=300)
-@given(
-    edge, edge, edge, edge, coeff, coeff, coeff, coeff,
-    st.integers(min_value=-20, max_value=120),
-    st.integers(min_value=2**64, max_value=2**200),
-)
-def test_row_scan_arbitrary_precision(o_lo, o_span, i_lo, i_span, a_o, a_i, b_o, b_i, bound, k):
-    box = (o_lo, o_lo + abs(o_span), i_lo, i_lo + abs(i_span))
-    scaled = (k * a_o, k * a_i, k * b_o, k * b_i, k * bound)
-    assert scan_box(*box, *scaled) == naive_scan(*box, a_o, a_i, b_o, b_i, bound)[0]
+@given(point, point, dilation, shear)
+def test_row_scan_arbitrary_precision(cp, cq, dil, k):
+    assume(det(cp, cq) != 0)
+    sheared = [(i + k * j, j) for i, j in (cp, cq)]
+    assert scan_triangle(*sheared, dil) == cells_total(cp, cq, dil)
 
 
 def test_count_minimal_plane():
@@ -209,8 +226,8 @@ def test_collinear_basis_coordinates_raise(monkeypatch):
 
 def test_pick_check_catches_miscounted_scan(monkeypatch):
     # the check must hold under python -O, so it may not be an assert
-    real = oracle.scan_box
-    monkeypatch.setattr(oracle, "scan_box", lambda *args: real(*args) + 1)
+    real = oracle.scan_rows
+    monkeypatch.setattr(oracle, "scan_rows", lambda *args: real(*args) + 1)
     t = Triple.from_abc(5, 7, 13)
     f, _ = frame_system(t)
     p, q = triangle_vertices(f, 2, 1)
@@ -218,16 +235,16 @@ def test_pick_check_catches_miscounted_scan(monkeypatch):
         count(p, q, t, 3)
 
 
-# every side of the box passes through a vertex, so clipping any side by one
-# row drops at least that vertex from the scan
-@pytest.mark.parametrize("side", range(4))
-def test_clipped_box_breaks_pick(side):
+# the first and the last row each hold a vertex, so clipping the row range
+# at either end drops at least that vertex from the scan
+@pytest.mark.parametrize("end", range(2))
+def test_clipped_box_breaks_pick(end):
     t = Triple.from_abc(5, 7, 13)
     f, _ = frame_system(t)
     tri = Triangle(*triangle_vertices(f, 2, 1), t)
-    box = list(tri._box)
-    box[side] += 1 if side % 2 == 0 else -1
-    tri._box = tuple(box)
+    rows = list(tri._rows)
+    rows[end] += 1 if end == 0 else -1
+    tri._rows = tuple(rows)
     with pytest.raises(RuntimeError, match="Pick"):
         tri.count(3)
 
