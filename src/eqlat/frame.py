@@ -83,20 +83,31 @@ class AlphaBeta:
 
 
 def enumerate_triples(d: int) -> list[Triple]:
-    """All canonical primitive triples with a^2 + b^2 + c^2 = 3*d^2, lex order."""
+    """All canonical primitive triples with a^2 + b^2 + c^2 = 3*d^2, lex order.
+
+    Every coordinate of a primitive triple is 1 or 5 (mod 6), so a and b step
+    only through that class (steps alternating 4 and 2): 1/9 of the pairs.
+    Mod 4: squares are 0 or 1, and 3*d^2 is 0 (d even) or 3 (d odd), so a,
+    b, c are all even (not primitive) or all odd.  Mod 3: squares are 0 or 1
+    and 3*d^2 is 0, so a, b, c are all multiples of 3 (not primitive) or
+    none is.  Even d therefore has no triples; the loop still walks the same
+    candidates for it and finds none, so odd and even radii cost the same.
+    """
     if d < 1:
         raise ValueError("d must be a positive integer")
     target = 3 * d * d
     out = []
-    a = 1
+    a, a_step = 1, 4
     while 3 * a * a <= target:
-        b = a
+        b, b_step = a, a_step
         while a * a + 2 * b * b <= target:
             c = sqrt_exact(target - a * a - b * b)
             if c is not None and c >= b and math.gcd(a, b, c) == 1:
                 out.append(Triple(a, b, c, d))
-            b += 1
-        a += 1
+            b += b_step
+            b_step = 6 - b_step
+        a += a_step
+        a_step = 6 - a_step
     return out
 
 

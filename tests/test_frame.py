@@ -63,6 +63,19 @@ def test_enumerate_matches_reference_search():
             assert expected == [], f"d={d}"
 
 
+def test_primitive_coordinates_are_plus_minus_one_mod_6():
+    # the congruence enumerate_triples relies on, checked on the full search
+    for d in range(1, 202):
+        for abc in reference_triples(d):
+            assert all(x % 6 in (1, 5) for x in abc), f"d={d} {abc}"
+
+
+@pytest.mark.parametrize("d", [999, 1001, 1155])
+def test_enumerate_matches_reference_at_large_radii(d):
+    # 1155 = 3*5*7*11: every small odd prime divides d
+    assert [t.abc() for t in enumerate_triples(d)] == reference_triples(d)
+
+
 def test_enumerate_rejects_nonpositive():
     with pytest.raises(ValueError):
         enumerate_triples(0)
