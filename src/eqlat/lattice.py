@@ -127,15 +127,20 @@ def solve_in_plane(target: Vec3, b1: Vec3, b2: Vec3, normal: Vec3) -> tuple[int,
     normal.  Divisions are checked for exactness and the recomposition is
     verified, so a non-member can never produce a bogus answer.
     """
-    den = b1.cross(b2).dot(normal)
+    px, py, pz, ux, uy, uz = target.x, target.y, target.z, b1.x, b1.y, b1.z
+    vx, vy, vz, nx, ny, nz = b2.x, b2.y, b2.z, normal.x, normal.y, normal.z
+    # (b1 x b2).n, (target x b2).n and (b1 x target).n as dot products with
+    # s = b2 x n and n x b1
+    sx, sy, sz = vy * nz - vz * ny, vz * nx - vx * nz, vx * ny - vy * nx
+    den = ux * sx + uy * sy + uz * sz
     if den == 0:
         raise ValueError("not a valid generator pair")
-    x_num = target.cross(b2).dot(normal)
-    y_num = b1.cross(target).dot(normal)
+    x_num = px * sx + py * sy + pz * sz
+    y_num = px * (ny * uz - nz * uy) + py * (nz * ux - nx * uz) + pz * (nx * uy - ny * ux)
     if x_num % den != 0 or y_num % den != 0:
         return None
     x, y = x_num // den, y_num // den
-    if b1 * x + b2 * y != target:
+    if (ux * x + vx * y, uy * x + vy * y, uz * x + vz * y) != (px, py, pz):
         return None
     return (x, y)
 

@@ -10,15 +10,18 @@ lies in the dilation iff
 
 lam/A2 and mu/A2 being X's barycentric weights on P and Q.  Each constraint
 has the form a*i + b*j + c*t >= 0, and the scan runs over rows of fixed j,
-one per multiple of tau, from the lowest vertex's row to the highest.  In a
-row an edge with a > 0 gives the lower end of i, a ceiling, and one with
-a < 0 an upper end, a floor; scan_rows adds min(upper ends) - lower end + 1
-per row without visiting the points.  The three a sum to 0.  When two are
-positive the triangle is mirrored by i -> -i, which keeps every row, so one
-edge gives the lower end.  An edge with a = 0 lies along a row, where the
-row range already ends, and is dropped.  The cost grows with the number of
-rows rather than of points; everything is arbitrary-precision integer
-arithmetic.
+one per multiple of tau.  In a row an edge with a > 0 gives the lower end
+of i, a ceiling, and one with a < 0 an upper end, a floor.  The three a sum
+to 0; when two are positive the triangle is mirrored by i -> -i, which
+keeps every row.  Then one edge, joining the lowest and the highest vertex,
+gives every row's lower end, and the two upper edges meet at the middle
+vertex.  So the rows form two slabs, t*j_low .. t*j_mid and
+t*j_mid + 1 .. t*j_high, each with one fixed lower and one fixed upper edge,
+and scan_slabs adds upper end - lower end + 1 per row, two floor divisions,
+without visiting the points.  An edge with a = 0 lies along a row, where
+the row range already ends, and is dropped; the other upper edge then
+bounds both slabs.  The cost grows with the number of rows rather than of
+points; everything is arbitrary-precision integer arithmetic.
 
 Rows of fixed j number at most 2/sqrt(3) ~ 1.155 times rows of fixed i.
 Row counts go as |u| and |tau| times the triangle's width across them; an
@@ -34,12 +37,12 @@ Pick's theorem in basis units,
     2*total = A2*t^2 + boundary + 2,
 
 which pick_check states, then ties the scanned total to those counts; a
-miscounted row or a clipped row range breaks it and raises RuntimeError.
+miscounted, missed or repeated row breaks it and raises RuntimeError.
 
 The triangle is validated once, when a Triangle is built: vertex membership,
 equal sides by their 3-D norms, exact basis coordinates and a nonzero
-det(cp, cq); row_bounds then picks its bounding edges.  Each dilation only
-scales the row range and the edge constants, scans and checks Pick, so a
+det(cp, cq); triangle_slabs then splits it into slabs.  Each dilation only
+scales the slabs' rows and edge constants, scans and checks Pick, so a
 campaign over several dilations of one triangle pays for the setup once.
 count() is that path for a single dilation.
 """
@@ -55,6 +58,7 @@ from .lattice import BasisPair, Triple, coordinates_in_basis, membership, plane_
 # an edge a*i + b*j + c*t >= 0 with a != 0, kept as (|a|, b, c): in row j of
 # the dilation by t it gives i >= -(b*j + c*t)/a if a > 0, else i <= (b*j + c*t)/|a|
 Bound = tuple[int, int, int]
+Slab = tuple[int, int, Bound, Bound]  # first row, last row, lower edge, upper edge
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,14 +75,12 @@ class CountReport:
     per_side: tuple[int, int, int]
 
 
-def row_bounds(
-    cp: tuple[int, int], cq: tuple[int, int]
-) -> tuple[int, tuple[int, int], tuple[Bound, Bound, Bound]]:
-    """Doubled area, row range and bounding edges of the triangle O, cp, cq.
+def triangle_slabs(cp: tuple[int, int], cq: tuple[int, int]) -> tuple[int, tuple[Slab, Slab]]:
+    """Doubled area and the two slabs of the triangle O, cp, cq.
 
-    The edges come as (lower, upper, upper), after the triangle is taken
-    counterclockwise and, if need be, mirrored.  The row range is that of
-    the undilated triangle.
+    The triangle is taken counterclockwise and, if need be, mirrored; each
+    slab is (first row, last row, lower edge, upper edge) of the undilated
+    triangle, the first ending at the middle vertex's row.
     """
     (pi, pj), (qi, qj) = cp, cq
     det = pi * qj - pj * qi
@@ -87,34 +89,40 @@ def row_bounds(
     if det < 0:
         # O, Q, P is counterclockwise and bounds the same points
         (pi, pj), (qi, qj), det = cq, cp, -det
-    edges = [(qj, -qi, 0), (-pj, pi, 0), (pj - qj, qi - pi, det)]  # lam, mu, t*A2 - lam - mu
+    # the edges opposite O, P and Q: t*A2 - lam - mu, lam, mu
+    edges = [(pj - qj, qi - pi, det), (qj, -qi, 0), (-pj, pi, 0)]
     if sum(a > 0 for a, _, _ in edges) == 2:
         # mirror i -> -i, so that one edge bounds every row from below
         edges = [(-a, b, c) for a, b, c in edges]
-    lower = next(e for e in edges if e[0] > 0)
-    # an edge with a == 0 lies along a row and drops out here
-    upper = [(-a, b, c) for a, b, c in edges if a < 0]
-    return det, (min(0, pj, qj), max(0, pj, qj)), (lower, upper[0], upper[-1])
+    rows = (0, pj, qj)
+    # the lower edge lies opposite the middle vertex and joins the lowest
+    # and the highest, which never share a row
+    mid = next(k for k in range(3) if edges[k][0] > 0)
+    low, high = sorted((k for k in range(3) if k != mid), key=rows.__getitem__)
+    # the first slab's upper edge lies opposite the highest vertex; an edge
+    # with a == 0 lies along a row and drops out here
+    upper = [(-a, b, c) for a, b, c in (edges[high], edges[low]) if a < 0]
+    return det, (
+        (rows[low], rows[mid], edges[mid], upper[0]),
+        (rows[mid], rows[high], edges[mid], upper[-1]),
+    )
 
 
-def scan_rows(rows: tuple[int, int], bounds: tuple[Bound, Bound, Bound], dilation: int) -> int:
-    """Number of lattice points in the rows of the triangle dilated by `dilation`.
+def scan_slabs(slabs: tuple[Slab, Slab], dilation: int) -> int:
+    """Number of lattice points in the triangle dilated by `dilation`.
 
-    rows and bounds are row_bounds' for the undilated triangle.  Every row
-    meets the triangle, so its interval of real i is not empty and the count
-    of integers in it, min(upper ends) - lower end + 1, is never negative.
+    slabs are triangle_slabs' for the undilated triangle; the second starts
+    one row past its dilated first row, which the first has counted.  Every
+    row meets the triangle, so its count upper end - lower end + 1 is never
+    negative.
     """
-    (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = bounds
-    c0, c1, c2 = c0 * dilation, c1 * dilation, c2 * dilation
     total = 0
-    for j in range(dilation * rows[0], dilation * rows[1] + 1):
-        # -(x // a) is the ceiling of -x / a for a > 0
-        lo = -((b0 * j + c0) // a0)
-        hi = (b1 * j + c1) // a1
-        x = (b2 * j + c2) // a2
-        if x < hi:
-            hi = x
-        total += hi - lo + 1
+    for skip, (first, last, (a0, b0, c0), (a1, b1, c1)) in enumerate(slabs):
+        c0, c1 = c0 * dilation, c1 * dilation
+        # -(x // a) is the ceiling of -x / a for a > 0, so the row's count
+        # upper - lower + 1 is a sum of two floors
+        for j in range(dilation * first + skip, dilation * last + 1):
+            total += (b1 * j + c1) // a1 + (b0 * j + c0) // a0 + 1
     return total
 
 
@@ -128,11 +136,11 @@ class Triangle:
 
     Construction checks the triangle and derives everything that does not
     depend on the dilation from its basis coordinates cp and cq: the side
-    gcds in the caller's (OP, PQ, OQ) order, then, through row_bounds, the
-    doubled area, the row range and the three edges that bound each row.
+    gcds in the caller's (OP, PQ, OQ) order, then, through triangle_slabs,
+    the doubled area and the two slabs with the edges that bound their rows.
     """
 
-    __slots__ = ("_sides", "_area2", "_rows", "_bounds")
+    __slots__ = ("_sides", "_area2", "_slabs")
 
     def __init__(self, p: Vec3, q: Vec3, t: Triple, basis: BasisPair | None = None) -> None:
         if p.is_zero() or q.is_zero() or p == q:
@@ -150,12 +158,12 @@ class Triangle:
             raise RuntimeError("vertex not representable in the plane basis")
         (pi, pj), (qi, qj) = cp, cq
         self._sides = (math.gcd(pi, pj), math.gcd(qi - pi, qj - pj), math.gcd(qi, qj))
-        self._area2, self._rows, self._bounds = row_bounds(cp, cq)
+        self._area2, self._slabs = triangle_slabs(cp, cq)
 
     def count(self, dilation: int) -> CountReport:
         """Count lattice points of the triangle dilated by `dilation`."""
         _check_dilation(dilation)
-        total = scan_rows(self._rows, self._bounds, dilation)
+        total = scan_slabs(self._slabs, dilation)
         g_op, g_pq, g_oq = self._sides
         per_side = (dilation * g_op - 1, dilation * g_pq - 1, dilation * g_oq - 1)
         boundary = 3 + sum(per_side)

@@ -204,7 +204,7 @@ def test_count_matches_formula(capsys):
 
 
 def test_count_builds_one_frame_and_scans_once(capsys, monkeypatch):
-    calls = {"find_rs": 0, "generators": 0, "scan_rows": 0}
+    calls = {"find_rs": 0, "generators": 0, "scan_slabs": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -219,10 +219,10 @@ def test_count_builds_one_frame_and_scans_once(capsys, monkeypatch):
     # plane_basis is imported by name everywhere, but reaches generators
     # through its module global: one generators call is one plane basis
     counted(lattice, "generators")
-    counted(oracle, "scan_rows")
+    counted(oracle, "scan_slabs")
     code, _, _ = run_cli(capsys, "count", "139", "2461", "2461", "2", "1", "3")
     assert code == 0
-    assert calls == {"find_rs": 1, "generators": 1, "scan_rows": 1}
+    assert calls == {"find_rs": 1, "generators": 1, "scan_slabs": 1}
 
 
 def test_frame_builds_generators_once(capsys, monkeypatch):

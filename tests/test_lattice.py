@@ -2,7 +2,7 @@ import builtins
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from eqlat import lattice
@@ -162,3 +162,40 @@ def test_roundtrip_property(i, j):
     basis = plane_basis(t)
     p = basis.u * i + basis.tau * j
     assert coordinates_in_basis(p, basis, t) == (i, j)
+
+
+def reference_solve(target, b1, b2, normal):
+    """solve_in_plane through Vec3 cross products and a Vec3 recomposition."""
+    den = b1.cross(b2).dot(normal)
+    x_num, y_num = target.cross(b2).dot(normal), b1.cross(target).dot(normal)
+    if x_num % den != 0 or y_num % den != 0:
+        return None
+    x, y = x_num // den, y_num // den
+    return (x, y) if b1 * x + b2 * y == target else None
+
+
+small = st.integers(min_value=-3, max_value=3)
+
+
+# targets off the plane (offset e with e.n != 0) and pairs spanning a
+# sublattice of index k, so non-members of both kinds are common; an offset
+# along the normal leaves both numerators unchanged, so only the
+# recomposition check rejects it
+@example(Triple(1, 1, 1, 1), 2, -3, Vec3(1, 1, 1), 1)
+@given(
+    st.sampled_from(triples_upto(45)),
+    st.integers(min_value=-50, max_value=50),
+    st.integers(min_value=-50, max_value=50),
+    st.builds(Vec3, small, small, small),
+    st.integers(min_value=1, max_value=3),
+)
+def test_solve_in_plane_equals_vector_reference(t, i, j, e, k):
+    basis = plane_basis(t)
+    b1, n = basis.u * k, t.normal()
+    target = basis.u * i + basis.tau * j + e
+    got = solve_in_plane(target, b1, basis.tau, n)
+    assert got == reference_solve(target, b1, basis.tau, n)
+    if e.dot(n) != 0:
+        assert got is None
+    elif e.is_zero() and i % k == 0:
+        assert got == (i // k, j)

@@ -7,13 +7,15 @@ from eqlat.ehrhart import ehrhart_poly, frame_system, side_divisors
 from eqlat.frame import enumerate_triples, triangle_vertices
 from eqlat.intmath import Vec3
 from eqlat.lattice import Triple
-from eqlat.oracle import CountReport, Triangle, count, pick_check, row_bounds, scan_rows
+from eqlat.oracle import CountReport, Triangle, count, pick_check, scan_slabs, triangle_slabs
 
-from box_reference import classify_cells, classify_triangle
+from box_reference import classify_cells, classify_triangle, row_bounds, scan_rows
 
 
 coord = st.integers(min_value=-9, max_value=9)
 point = st.tuples(coord, coord)
+wide = st.integers(min_value=-30, max_value=30)
+any_point = point | st.tuples(wide, wide)
 dilation = st.integers(min_value=1, max_value=4)
 big = st.integers(min_value=2**64, max_value=2**200)
 shear = big | big.map(lambda k: -k)
@@ -25,6 +27,12 @@ def det(cp, cq):
 
 def scan_triangle(cp, cq, dil):
     """The oracle's total for the triangle O, cp, cq of basis coordinates."""
+    _, slabs = triangle_slabs(cp, cq)
+    return scan_slabs(slabs, dil)
+
+
+def row_scan_total(cp, cq, dil):
+    """The row-scan reference's total: three edges, min(upper ends) per row."""
     _, rows, bounds = row_bounds(cp, cq)
     return scan_rows(rows, bounds, dil)
 
@@ -42,29 +50,46 @@ def test_row_scan_equals_naive(cp, cq, dil):
     assert scan_triangle(cp, cq, dil) == cells_total(cp, cq, dil)
 
 
-# Triangles with an edge along a row, whose constraint row_bounds drops: OQ
-# (qj = 0), OP (pj = 0) and PQ (pj = qj), all with det(cp, cq) > 0.
+# the slab scan against the row-scan reference, in both orientations
+@settings(max_examples=1000)
+@given(any_point, any_point, dilation)
+def test_slab_scan_equals_row_scan(cp, cq, dil):
+    assume(det(cp, cq) != 0)
+    for a, b in ((cp, cq), (cq, cp)):
+        assert scan_triangle(a, b, dil) == row_scan_total(a, b, dil)
+
+
+# Triangles with an edge along a row, whose constraint triangle_slabs drops:
+# OQ (qj = 0), OP (pj = 0) and PQ (pj = qj), all with det(cp, cq) > 0, and
+# the first two mirrored by i -> -i (det < 0), which makes the other end of
+# that edge the middle vertex.  The middle vertex shares the highest row, so
+# the second slab, which starts past that row, is empty (flat = 1); or it
+# shares the lowest row, which the first slab holds alone (flat = 0).
 edge_rows = [
-    pytest.param((2, -3), (5, 0), id="lam-row-a_i-0"),
-    pytest.param((3, 0), (1, 4), id="mu-row-b_i-0"),
-    pytest.param((1, 3), (-4, 3), id="pq-row-c_s-0"),
+    pytest.param((2, -3), (5, 0), 1, id="lam-row-a_i-0"),
+    pytest.param((3, 0), (1, 4), 0, id="mu-row-b_i-0"),
+    pytest.param((1, 3), (-4, 3), 1, id="pq-row-c_s-0"),
+    pytest.param((-2, -3), (-5, 0), 1, id="lam-row-mirrored"),
+    pytest.param((-3, 0), (-1, 4), 0, id="mu-row-mirrored"),
 ]
 
 
-@pytest.mark.parametrize("cp,cq", edge_rows)
-def test_row_scan_edge_rows(cp, cq):
+@pytest.mark.parametrize("cp,cq,flat", edge_rows)
+def test_row_scan_edge_rows(cp, cq, flat):
+    end_row = (min if flat == 0 else max)(0, cp[1], cq[1])
     for a, b in ((cp, cq), (cq, cp)):
-        _, _, (_, upper1, upper2) = row_bounds(a, b)
-        assert upper1 == upper2
+        _, slabs = triangle_slabs(a, b)
+        assert slabs[0][3] == slabs[1][3]
+        assert slabs[flat][0] == slabs[flat][1] == end_row
         for dil in (1, 2, 3):
-            assert scan_triangle(a, b, dil) == cells_total(a, b, dil)
+            assert scan_triangle(a, b, dil) == cells_total(a, b, dil) == row_scan_total(a, b, dil)
 
 
 # Triangles with no edge along a row, so both end rows and the middle
 # vertex's row meet an edge pair at one point.  With det(cp, cq) > 0 the i
 # coefficients of (lam, mu, t*A2 - lam - mu) are (qj, -pj, pj - qj); with two
-# of them positive, row_bounds mirrors the triangle.  The other cases are the
-# first triangle under i <-> j, under i -> -i, and dilated by 2 with the
+# of them positive, triangle_slabs mirrors the triangle.  The other cases are
+# the first triangle under i <-> j, under i -> -i, and dilated by 2 with the
 # reference's box widened.
 vertex_rows = [
     pytest.param((3, 1), (1, 4), 1, 0, id="vertex-rows"),
@@ -93,6 +118,15 @@ def test_row_scan_arbitrary_precision(cp, cq, dil, k):
     assume(det(cp, cq) != 0)
     sheared = [(i + k * j, j) for i, j in (cp, cq)]
     assert scan_triangle(*sheared, dil) == cells_total(cp, cq, dil)
+
+
+@settings(max_examples=1000)
+@given(point, point, dilation, shear)
+def test_slab_scan_equals_row_scan_sheared(cp, cq, dil, k):
+    assume(det(cp, cq) != 0)
+    sheared = [(i + k * j, j) for i, j in (cp, cq)]
+    for a, b in (sheared, sheared[::-1]):
+        assert scan_triangle(a, b, dil) == row_scan_total(a, b, dil)
 
 
 def test_count_minimal_plane():
@@ -226,8 +260,8 @@ def test_collinear_basis_coordinates_raise(monkeypatch):
 
 def test_pick_check_catches_miscounted_scan(monkeypatch):
     # the check must hold under python -O, so it may not be an assert
-    real = oracle.scan_rows
-    monkeypatch.setattr(oracle, "scan_rows", lambda *args: real(*args) + 1)
+    real = oracle.scan_slabs
+    monkeypatch.setattr(oracle, "scan_slabs", lambda *args: real(*args) + 1)
     t = Triple.from_abc(5, 7, 13)
     f, _ = frame_system(t)
     p, q = triangle_vertices(f, 2, 1)
@@ -235,18 +269,39 @@ def test_pick_check_catches_miscounted_scan(monkeypatch):
         count(p, q, t, 3)
 
 
-# the first and the last row each hold a vertex, so clipping the row range
-# at either end drops at least that vertex from the scan
-@pytest.mark.parametrize("end", range(2))
-def test_clipped_box_breaks_pick(end):
+def moved_slab_row(slab, end, by):
+    """Triangle (5, 7, 13), (2, 1), with one row bound of one slab moved by `by`.
+
+    Its middle vertex lies strictly between the lowest and highest rows, so
+    both slabs hold rows.
+    """
     t = Triple.from_abc(5, 7, 13)
     f, _ = frame_system(t)
     tri = Triangle(*triangle_vertices(f, 2, 1), t)
-    rows = list(tri._rows)
-    rows[end] += 1 if end == 0 else -1
-    tri._rows = tuple(rows)
-    with pytest.raises(RuntimeError, match="Pick"):
-        tri.count(3)
+    slabs = [list(s) for s in tri._slabs]
+    assert slabs[0][0] < slabs[0][1] < slabs[1][1]
+    slabs[slab][end] += by
+    tri._slabs = tuple(tuple(s) for s in slabs)
+    return tri
+
+
+# the first row of the first slab and the last row of the last slab each
+# hold a vertex, so clipping either drops at least that vertex from the scan
+@pytest.mark.parametrize("end", range(2))
+def test_clipped_box_breaks_pick(end):
+    for dil in (1, 3):
+        with pytest.raises(RuntimeError, match="Pick"):
+            moved_slab_row(-end, end, 1 if end == 0 else -1).count(dil)
+
+
+# The middle row holds the middle vertex.  Ending the first slab one row
+# early leaves it to neither slab, and starting the second one row early
+# counts it in both; at dilation 1 exactly that row moves.
+@pytest.mark.parametrize("slab,end", [(0, 1), (1, 0)], ids=["middle-row-dropped", "middle-row-twice"])
+def test_moved_split_row_breaks_pick(slab, end):
+    for dil in (1, 3):
+        with pytest.raises(RuntimeError, match="Pick"):
+            moved_slab_row(slab, end, -1).count(dil)
 
 
 def test_count_input_validation():
