@@ -85,30 +85,43 @@ class AlphaBeta:
 def enumerate_triples(d: int) -> list[Triple]:
     """All canonical primitive triples with a^2 + b^2 + c^2 = 3*d^2, lex order.
 
-    Every coordinate of a primitive triple is 1 or 5 (mod 6), so a and b step
-    only through that class (steps alternating 4 and 2): 1/9 of the pairs.
-    Mod 4: squares are 0 or 1, and 3*d^2 is 0 (d even) or 3 (d odd), so a,
-    b, c are all even (not primitive) or all odd.  Mod 3: squares are 0 or 1
-    and 3*d^2 is 0, so a, b, c are all multiples of 3 (not primitive) or
-    none is.  Even d therefore has no triples; the loop still walks the same
-    candidates for it and finds none, so odd and even radii cost the same.
+    A quaternion q = w + x*i + y*j + z*k of norm d gives the Euler-Rodrigues
+    matrix M_q, M_q M_q^T = d^2 I, so v = M_q (1, 1, 1) has |v|^2 = 3*d^2 and
+    sorted |v| is a triple.  One q is visited per orbit of three moves that
+    keep the triple:
+    - q -> u*q, u in {+-1, +-i, +-j, +-k}, adds a half turn about an axis,
+      which only signs v; some u moves the largest |coordinate| into w > 0;
+    - conjugating by (1+i+j+k)/2 cycles (x, y, z), and v;
+    - the half turn about (1, -1, 0) sends (x, y, z) to (-y, -x, -z), and v
+      to a signed permutation of v.
+    So w >= x >= y >= z >= 0 (4*w^2 >= d, z an exact root: O(d^1.5) steps),
+    and every sign of (x, y, z) is tried.  g = gcd(w, x, y, z) multiplies v by
+    g^2, so g > 1 is skipped.  Completeness, every primitive triple being some
+    M_q (1, 1, 1), is not proved here: a slow test in tests/test_frame.py
+    checks it against the O(d^2) search for every d <= 3001.  Even d has no
+    triples (all three would be even), yet its quaternions are walked.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
-    target = 3 * d * d
-    out = []
-    a, a_step = 1, 4
-    while 3 * a * a <= target:
-        b, b_step = a, a_step
-        while a * a + 2 * b * b <= target:
-            c = sqrt_exact(target - a * a - b * b)
-            if c is not None and c >= b and math.gcd(a, b, c) == 1:
-                out.append(Triple(a, b, c, d))
-            b += b_step
-            b_step = 6 - b_step
-        a += a_step
-        a_step = 6 - a_step
-    return out
+    found = set()
+    for w in range(math.isqrt(d), math.isqrt(d // 4) - 1, -1):
+        rest_w = d - w * w
+        for x in range(min(w, math.isqrt(rest_w)), math.isqrt(rest_w // 3) - 1, -1):
+            rest_x = rest_w - x * x
+            for y in range(min(x, math.isqrt(rest_x)), math.isqrt(rest_x // 2) - 1, -1):
+                yy = y * y
+                z = math.isqrt(rest_x - yy)
+                if z * z != rest_x - yy or math.gcd(w, x, y, z) != 1:
+                    continue
+                a1, a2, a3 = d - 2 * (yy + z * z), d - 2 * (x * x + z * z), d - 2 * (x * x + yy)
+                for xs, ys in ((x, y), (-x, y), (x, -y), (-x, -y)):
+                    # M_q (1, 1, 1) for +-z is v +- t: t holds the terms in z
+                    v1, v2, v3 = a1 + 2 * (xs + w) * ys, a2 + 2 * (ys - w) * xs, a3 + 2 * w * (xs - ys)
+                    t1, t2, t3 = 2 * z * (xs - w), 2 * z * (ys + w), 2 * z * (xs + ys)
+                    for v in ((v1 + t1, v2 + t2, v3 + t3), (v1 - t1, v2 - t2, v3 - t3)):
+                        if math.gcd(*v) == 1:
+                            found.add(tuple(sorted(map(abs, v))))
+    return [Triple(a, b, c, d) for a, b, c in sorted(found)]
 
 
 def _role_values(t: Triple, roles: Roles) -> tuple[int, int, int]:

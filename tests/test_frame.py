@@ -55,16 +55,43 @@ def reference_triples(d):
     return out
 
 
+def mod6_triples(d):
+    """The O(d^2) search over a, b = 1 or 5 (mod 6) only: 1/9 of the pairs.
+
+    Mod 4: squares are 0 or 1, and 3*d^2 is 0 (d even) or 3 (d odd), so a,
+    b, c are all even (not primitive) or all odd.  Mod 3: squares are 0 or 1
+    and 3*d^2 is 0, so a, b, c are all multiples of 3 (not primitive) or
+    none is.  So every coordinate of a primitive triple is 1 or 5 (mod 6);
+    a and b step through that class with steps alternating 4 and 2.
+    """
+    target = 3 * d * d
+    out = []
+    a, a_step = 1, 4
+    while 3 * a * a <= target:
+        b, b_step = a, a_step
+        while a * a + 2 * b * b <= target:
+            c = math.isqrt(target - a * a - b * b)
+            if c * c == target - a * a - b * b and c >= b and math.gcd(a, b, c) == 1:
+                out.append((a, b, c))
+            b += b_step
+            b_step = 6 - b_step
+        a += a_step
+        a_step = 6 - a_step
+    return out
+
+
 def test_enumerate_matches_reference_search():
     for d in range(1, 202):
         expected = reference_triples(d)
+        assert mod6_triples(d) == expected, f"d={d}"
         assert [t.abc() for t in enumerate_triples(d)] == expected, f"d={d}"
         if d % 2 == 0:
             assert expected == [], f"d={d}"
 
 
 def test_primitive_coordinates_are_plus_minus_one_mod_6():
-    # the congruence enumerate_triples relies on, checked on the full search
+    # the lemma mod6_triples stands on, checked on the full search;
+    # enumerate_triples does not use it
     for d in range(1, 202):
         for abc in reference_triples(d):
             assert all(x % 6 in (1, 5) for x in abc), f"d={d} {abc}"
@@ -73,7 +100,92 @@ def test_primitive_coordinates_are_plus_minus_one_mod_6():
 @pytest.mark.parametrize("d", [999, 1001, 1155])
 def test_enumerate_matches_reference_at_large_radii(d):
     # 1155 = 3*5*7*11: every small odd prime divides d
-    assert [t.abc() for t in enumerate_triples(d)] == reference_triples(d)
+    expected = reference_triples(d)
+    assert mod6_triples(d) == expected
+    assert [t.abc() for t in enumerate_triples(d)] == expected
+
+
+def test_enumerate_matches_mod6_search():
+    for d in range(1, 602):
+        assert [t.abc() for t in enumerate_triples(d)] == mod6_triples(d), f"d={d}"
+
+
+@pytest.mark.slow
+def test_enumerate_matches_mod6_search_to_3001():
+    # the completeness of the quaternion enumeration, checked exhaustively
+    for d in range(1, 3002):
+        assert [t.abc() for t in enumerate_triples(d)] == mod6_triples(d), f"d={d}"
+
+
+def quat_mul(p, q):
+    """Hamilton product of quaternions given as (w, x, y, z)."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+def rotation(q):
+    """Euler-Rodrigues matrix of q, scaled by its norm: no division."""
+    w, x, y, z = q
+    return (
+        (w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y)),
+        (2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x)),
+        (2 * (x * z - w * y), 2 * (y * z + w * x), w * w - x * x - y * y + z * z),
+    )
+
+
+def quat_triple(q):
+    """M_q (1, 1, 1), canonicalized: absolute values, sorted."""
+    return tuple(sorted(abs(sum(row)) for row in rotation(q)))
+
+
+UNITS = [tuple(sign * (j == k) for j in range(4)) for k in range(4) for sign in (1, -1)]
+
+quaternions = st.tuples(*[st.integers(min_value=-22, max_value=22)] * 4).filter(
+    lambda q: 0 < sum(c * c for c in q) <= 500
+)
+
+
+@given(quaternions)
+def test_rotation_is_norm_times_orthogonal(q):
+    m = rotation(q)
+    n = sum(c * c for c in q)
+    for i in range(3):
+        for j in range(3):
+            assert sum(m[i][k] * m[j][k] for k in range(3)) == (n * n if i == j else 0)
+
+
+@given(quaternions)
+def test_quaternion_triple_is_kept_by_the_orbit_moves(q):
+    w, x, y, z = q
+    v = quat_triple(q)
+    assert sum(c * c for c in v) == 3 * sum(c * c for c in q) ** 2
+    # left multiplication by a unit permutes and signs q's coordinates
+    for u in UNITS:
+        assert quat_triple(quat_mul(u, q)) == v
+    # conjugation by (1+i+j+k)/2 is the cyclic shift of (x, y, z) ...
+    omega, omega_bar = (1, 1, 1, 1), (1, -1, -1, -1)
+    cycled = tuple(c // 4 for c in quat_mul(quat_mul(omega, q), omega_bar))
+    assert cycled == (w, z, x, y)
+    assert quat_triple(cycled) == v
+    # ... and conjugation by (i - j)/sqrt(2), the half turn about (1, -1, 0),
+    # sends (x, y, z) to (-y, -x, -z)
+    h, h_bar = (0, 1, -1, 0), (0, -1, 1, 0)
+    turned = tuple(c // 2 for c in quat_mul(quat_mul(h, q), h_bar))
+    assert turned == (w, -y, -x, -z)
+    assert quat_triple(turned) == v
+
+
+@given(quaternions)
+def test_primitive_quaternion_triple_is_enumerated(q):
+    v = quat_triple(q)
+    if math.gcd(*v) == 1:
+        assert v in [t.abc() for t in enumerate_triples(sum(c * c for c in q))]
 
 
 def test_enumerate_rejects_nonpositive():
