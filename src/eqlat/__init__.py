@@ -18,7 +18,6 @@ from .frame import (
     build_frame,
     check_frame_vectors,
     enumerate_triples,
-    equal_pair_frame,
     find_rs,
     solve_alpha_beta,
     triangle_vertices,
@@ -60,7 +59,6 @@ __all__ = [
     "e_of_d",
     "ehrhart_poly",
     "enumerate_triples",
-    "equal_pair_frame",
     "find_rs",
     "frame_system",
     "generators",

@@ -23,8 +23,7 @@ q = a^2 + b^2:
 
 where perp is orthogonal to e1 with |perp|^2 = 6*d^2.  Any representation
 making all entries integral works; the two smallest coordinates of the triple
-play the (a, b) slots by default, and a role permutation can assign them
-differently (all choices yield the same counts downstream).
+fill the (a, b) slots.
 """
 
 from __future__ import annotations
@@ -35,23 +34,17 @@ from dataclasses import dataclass
 from .intmath import Vec3, sqrt_exact
 from .lattice import BasisPair, Triple, membership, solve_in_plane
 
-Roles = tuple[int, int, int]
-
-IDENTITY_ROLES: Roles = (0, 1, 2)
-
 
 @dataclass(frozen=True, slots=True)
 class Frame:
-    """Frame data for one triple under one role assignment.
+    """Frame data for one triple.
 
     e1, e2 span the equilateral-vertex sublattice; perp = 2*e2 - e1.
     omega divides both r and s; r_red = r/omega and s_red = s/omega have
-    equal parity.  roles records which triple coordinate filled each slot
-    of the closed form.
+    equal parity.
     """
 
     triple: Triple
-    roles: Roles
     r: int
     s: int
     q: int
@@ -71,7 +64,7 @@ class AlphaBeta:
     d * tau = alpha * e1 + beta * e2   (tau sign-flipped when tau_sign = -1)
 
     normalized so that ((r_red + s_red)/2)*beta + r_red*alpha = +d.
-    For the default role assignment r_red and s_red agree with the frame's.
+    r_red and s_red agree with the frame's.
     """
 
     alpha: int
@@ -124,24 +117,10 @@ def enumerate_triples(d: int) -> list[Triple]:
     return [Triple(a, b, c, d) for a, b, c in sorted(found)]
 
 
-def _role_values(t: Triple, roles: Roles) -> tuple[int, int, int]:
-    abc = t.abc()
-    if sorted(roles) != [0, 1, 2]:
-        raise ValueError(f"roles {roles} is not a permutation of (0, 1, 2)")
-    return abc[roles[0]], abc[roles[1]], abc[roles[2]]
-
-
-def _permute_back(components: tuple[int, int, int], roles: Roles) -> Vec3:
-    out = [0, 0, 0]
-    for slot, coord in enumerate(roles):
-        out[coord] = components[slot]
-    return Vec3(*out)
-
-
 def _frame_entries(
     av: int, bv: int, cv: int, d: int, q: int, r: int, s: int
 ) -> tuple[tuple[int, int, int], tuple[int, int, int]] | None:
-    """Slot components of (e1, perp) for candidate (r, s), or None if fractional."""
+    """Components of (e1, perp) for candidate (r, s), or None if fractional."""
     z1 = -(r * av * cv + d * bv * s)
     z2 = d * av * s - bv * cv * r
     p1 = 3 * d * bv * r - av * cv * s
@@ -156,14 +135,14 @@ def _frame_entries(
     return e1, perp
 
 
-def find_rs(t: Triple, roles: Roles = IDENTITY_ROLES) -> tuple[int, int]:
+def find_rs(t: Triple) -> tuple[int, int]:
     """Canonical representation 2*q = s^2 + 3*r^2 yielding an integral frame.
 
     Candidates with r = 0 are excluded: they can pass the integrality filter
     but make the basis equations degenerate.  Among the rest the choice is
     minimal |r|, then r > 0, then s > 0.  (s = 0 has no solutions at all.)
     """
-    av, bv, cv = _role_values(t, roles)
+    av, bv, cv = t.abc()
     q = av * av + bv * bv
     two_q = 2 * q
     r_abs = 1
@@ -178,20 +157,20 @@ def find_rs(t: Triple, roles: Roles = IDENTITY_ROLES) -> tuple[int, int]:
     raise RuntimeError(f"no representation found for triple {t.abc()}")
 
 
-def build_frame(t: Triple, roles: Roles = IDENTITY_ROLES, rs: tuple[int, int] | None = None) -> Frame:
+def build_frame(t: Triple, rs: tuple[int, int] | None = None) -> Frame:
     """Construct the frame for a triple; rs overrides the canonical search."""
-    av, bv, cv = _role_values(t, roles)
+    av, bv, cv = t.abc()
     q = av * av + bv * bv
     if rs is None:
-        rs = find_rs(t, roles)
+        rs = find_rs(t)
     r, s = rs
     if s * s + 3 * r * r != 2 * q:
         raise ValueError(f"(r, s) = {rs} is not a representation of 2*q = {2 * q}")
     entries = _frame_entries(av, bv, cv, t.d, q, r, s)
     if entries is None:
         raise ValueError(f"(r, s) = {rs} gives a fractional frame for {t.abc()}")
-    e1 = _permute_back(entries[0], roles)
-    perp = _permute_back(entries[1], roles)
+    e1 = Vec3(*entries[0])
+    perp = Vec3(*entries[1])
     e2 = Vec3((e1.x + perp.x) // 2, (e1.y + perp.y) // 2, (e1.z + perp.z) // 2)
     # _frame_entries checked the parity, so 2*e2 - e1 == perp exactly
     failed = [k for k, ok in check_frame_vectors(t, e1, e2).items() if not ok]
@@ -207,7 +186,6 @@ def build_frame(t: Triple, roles: Roles = IDENTITY_ROLES, rs: tuple[int, int] | 
         raise RuntimeError(f"frame for {t.abc()}: r_red and s_red of unequal parity")
     return Frame(
         triple=t,
-        roles=roles,
         r=r,
         s=s,
         q=q,
@@ -218,24 +196,6 @@ def build_frame(t: Triple, roles: Roles = IDENTITY_ROLES, rs: tuple[int, int] | 
         e2=e2,
         perp=perp,
     )
-
-
-def equal_pair_frame(t: Triple) -> Frame:
-    """Closed-form frame for triples with two equal coordinates.
-
-    The equal pair fills the (a, b) slots, where (r, s) = (a, a) always gives
-    an integral frame: e1 = (-(d+c)/2, (d-c)/2, a) in slot coordinates.
-    Here r_red = s_red = 1.
-    """
-    if t.a == t.b:
-        roles: Roles = (0, 1, 2)
-        equal = t.a
-    elif t.b == t.c:
-        roles = (1, 2, 0)
-        equal = t.b
-    else:
-        raise ValueError(f"triple {t.abc()} has no equal pair of coordinates")
-    return build_frame(t, roles=roles, rs=(equal, equal))
 
 
 def check_frame_vectors(t: Triple, e1: Vec3, e2: Vec3) -> dict[str, bool]:
@@ -262,15 +222,14 @@ def sublattice_coords(f: Frame, p: Vec3) -> tuple[int, int]:
 def solve_alpha_beta(f: Frame, basis: BasisPair) -> AlphaBeta:
     """Express the basis in the frame and normalize signs.
 
-    Solves d*u and d*tau exactly in (e1, e2).  The u row fixes (r_red, s_red)
-    so the result stays valid under any role assignment; the determinant of
-    the two rows is +-d, and tau's representation is negated when needed to
-    land on +d.
+    Solves d*u and d*tau exactly in (e1, e2).  The u row must reproduce the
+    frame's (r_red, s_red); the determinant of the two rows is +-d, and tau's
+    representation is negated when needed to land on +d.
     """
     d = f.triple.d
     p, h = sublattice_coords(f, basis.u)
     r_red, s_red = -h, 2 * p + h
-    if f.roles == IDENTITY_ROLES and (r_red, s_red) != (f.r_red, f.s_red):
+    if (r_red, s_red) != (f.r_red, f.s_red):
         raise RuntimeError(
             f"basis gives (r_red, s_red) = {(r_red, s_red)}, frame has {(f.r_red, f.s_red)}"
         )

@@ -200,21 +200,33 @@ def test_criterion_6_property_suites():
         assert math.gcd(trio[0], trio[2]) == 1
         assert math.gcd(trio[1], trio[2]) == 1
 
-    # role-pair choice: any coordinate pair may fill the closed form's slots;
-    # downstream polynomials agree (and the conjugate pair at norm 7 agrees
-    # as an unordered pair)
+    # frame choice: every representation 2*q = s^2 + 3*r^2 (r != 0) giving an
+    # integral frame yields the same polynomials (and the conjugate pair at
+    # norm 7 agrees as an unordered pair)
     for t in universe:
         basis = plane_basis(t)
         per_mn = {mn: set() for mn in [(1, 0), (1, 1), (2, 1)]}
         conjugate_pairs = set()
-        for roles in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            f = build_frame(t, roles=roles)
-            ab = solve_alpha_beta(f, basis)
-            for mn in per_mn:
-                per_mn[mn].add(ehrhart_from_frame(f, ab, *mn))
-            conjugate_pairs.add(
-                tuple(sorted((c1_general(f, ab, 3, 1), c1_general(f, ab, 3, 2))))
-            )
+        two_q = 2 * (t.a * t.a + t.b * t.b)
+        frames = 0
+        for r in range(-math.isqrt(two_q // 3), math.isqrt(two_q // 3) + 1):
+            s_abs = math.isqrt(two_q - 3 * r * r)
+            if r == 0 or s_abs * s_abs != two_q - 3 * r * r:
+                continue
+            for s in (s_abs, -s_abs):
+                try:
+                    f = build_frame(t, rs=(r, s))
+                except ValueError as exc:
+                    assert "fractional" in str(exc), exc
+                    continue
+                frames += 1
+                ab = solve_alpha_beta(f, basis)
+                for mn in per_mn:
+                    per_mn[mn].add(ehrhart_from_frame(f, ab, *mn))
+                conjugate_pairs.add(
+                    tuple(sorted((c1_general(f, ab, 3, 1), c1_general(f, ab, 3, 2))))
+                )
+        assert frames >= 4, (t.abc(), frames)
         for mn, polys in per_mn.items():
             assert len(polys) == 1, (t.abc(), mn, polys)
         assert len(conjugate_pairs) == 1, (t.abc(), conjugate_pairs)
@@ -235,7 +247,7 @@ def test_criterion_6_property_suites():
             rep = count(p, q, t, dil)
             assert (rep.total, rep.boundary, rep.per_side) == classify_cells(p, q, t, dil, 2)
 
-    print("PASS criterion 6: shift invariance, divisor structure, role choice, parity, widened box")
+    print("PASS criterion 6: shift invariance, divisor structure, frame choice, parity, widened box")
 
 
 def test_criterion_7_adjudication():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -10,7 +11,6 @@ from eqlat.frame import (
     build_frame,
     check_frame_vectors,
     enumerate_triples,
-    equal_pair_frame,
     find_rs,
     rs_structure,
     solve_alpha_beta,
@@ -18,7 +18,7 @@ from eqlat.frame import (
     triangle_vertices,
 )
 from eqlat.intmath import Vec3
-from eqlat.lattice import Triple, plane_basis
+from eqlat.lattice import BasisPair, Triple, plane_basis
 
 
 def all_triples(d_max):
@@ -255,11 +255,6 @@ def test_build_frame_raises_on_failed_frame_check(monkeypatch):
         build_frame(Triple(5, 7, 13, 9), rs=(3, 11))
 
 
-def test_roles_validation():
-    with pytest.raises(ValueError, match="permutation"):
-        build_frame(Triple(1, 1, 1, 1), roles=(0, 0, 1))
-
-
 @pytest.mark.parametrize("t", all_triples(21))
 def test_frame_invariants(t):
     f = build_frame(t)
@@ -300,6 +295,21 @@ def test_alpha_beta_d1():
     assert (ab.alpha, ab.beta) == (1, 0)
 
 
+def test_solve_alpha_beta_rejects_frame_mismatch():
+    t = Triple(1, 7, 25, 15)
+    f = build_frame(t)
+    flipped = dataclasses.replace(f, r_red=-f.r_red, s_red=-f.s_red)
+    with pytest.raises(RuntimeError, match="basis gives"):
+        solve_alpha_beta(flipped, plane_basis(t))
+
+
+def test_solve_alpha_beta_rejects_wrong_determinant():
+    t = Triple(1, 7, 25, 15)
+    basis = plane_basis(t)
+    with pytest.raises(RuntimeError, match="determinant 30 is not"):
+        solve_alpha_beta(build_frame(t), BasisPair(basis.u, 2 * basis.tau))
+
+
 def test_sublattice_coords_rejects_off_plane():
     f = build_frame(Triple(1, 1, 1, 1))
     with pytest.raises(RuntimeError, match="mismatch"):
@@ -307,15 +317,20 @@ def test_sublattice_coords_rejects_off_plane():
 
 
 def test_equal_pair_frame():
-    f = equal_pair_frame(Triple(5, 13, 13, 11))
-    assert f.roles == (1, 2, 0)
-    assert (f.r, f.s) == (13, 13)
-    assert (f.r_red, f.s_red) == (1, 1)
-    assert all(check_frame_vectors(f.triple, f.e1, f.e2).values())
-    f2 = equal_pair_frame(Triple(1, 1, 1, 1))
-    assert f2.roles == (0, 1, 2)
-    with pytest.raises(ValueError, match="equal pair"):
-        equal_pair_frame(Triple(5, 7, 13, 9))
+    # (r, s) = (a, a) always gives an integral frame when a == b
+    triples = {
+        t.abc(): t
+        for k in range(1, 10, 2)
+        for l in range(1, 10)
+        if math.gcd(k, l) == 1
+        for t in aeqb_generate(k, l)
+        if t.a == t.b
+    }
+    assert len(triples) == 36
+    for t in triples.values():
+        f = build_frame(t, rs=(t.a, t.a))
+        assert (f.r_red, f.s_red) == (1, 1), t.abc()
+        assert all(check_frame_vectors(t, f.e1, f.e2).values()), t.abc()
 
 
 def test_triangle_vertices():
